@@ -32,12 +32,14 @@ from .integrals import (
     integral_peel,
 )
 from .kernels import (
+    AnnulusGraph,
     FieldValues,
     KernelParams,
     annulus_sums,
     convolve_field,
     field_norms,
     kernel_weight,
+    pair_distance,
 )
 from .measures import (
     AtomicMeasure,
@@ -71,6 +73,7 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnnulusGraph",
     "AtomicMeasure",
     "DegenerateRadiiError",
     "EmbeddingWitness",
@@ -115,6 +118,7 @@ __all__ = [
     "integral_peel",
     "kernel_weight",
     "nested_good_sets",
+    "pair_distance",
     "path_tree",
     "restrict_measure",
     "scan_interval",

@@ -3,7 +3,7 @@
 Subcommands: generate, frostman, integral, pigeonhole, embed, scan.
 Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 4 empty result (no witness / empty interval / failed pigeonhole stage,
-which is an outcome, not an error).
+which is an outcome, not an error), 1 internal consistency error (a bug).
 """
 
 from __future__ import annotations

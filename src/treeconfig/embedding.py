@@ -1,12 +1,13 @@
 """Search for tree embeddings into the distance graph of an atomic measure.
 
-Two points are adjacent at scale (t, eps) when their distance lies in the
-closed interval [t - eps, t + eps]. Feasibility tables (a bottom-up DP
-rooted at vertex 0) certify per vertex which atoms can host it in SOME
+Two atoms are adjacent at scale (t, eps) when their pair_distance lies in
+the closed interval [t - eps, t + eps]: the edges of the annulus graph.
+Feasibility tables (a bottom-up DP rooted at vertex 0, one mat-vec on the
+graph per tree edge) certify per vertex which atoms can host it in SOME
 homomorphism; a witness is then extracted top-down by backtracking over
-the tables, enforcing injectivity when asked. Returned witnesses are
-always re-verified by direct distance recomputation, independent of the
-spatial index.
+the tables and the graph's neighbour lists, with an explicit stack,
+enforcing injectivity when asked. Returned witnesses are always re-verified
+by direct distance recomputation, independent of the graph.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .kernels import KernelParams, annulus_sums
+from .kernels import AnnulusGraph, KernelParams, annulus_sums, pair_distance
 from .measures import AtomicMeasure
-from .spatial import UniformGrid
 from .trees import TreeGraph
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -29,7 +29,8 @@ class FeasibilityTables:
     """Per-vertex boolean atom tables from the bottom-up sweep.
 
     order is a BFS preorder from root 0 (parents precede children),
-    children lists ascending.
+    children lists ascending. graph is the annulus graph the tables were
+    computed on; extraction walks its neighbour lists.
     """
 
     tree: TreeGraph
@@ -38,6 +39,7 @@ class FeasibilityTables:
     parent: dict[int, int | None]
     children: dict[int, list[int]]
     feasible: dict[int, np.ndarray]
+    graph: AnnulusGraph
 
     def root_feasible(self) -> bool:
         """True iff a (not necessarily injective) homomorphism exists."""
@@ -73,13 +75,17 @@ class SearchResult:
 
 
 def feasibility_dp(
-    mu: AtomicMeasure, tree: TreeGraph, params: KernelParams
+    mu: AtomicMeasure,
+    tree: TreeGraph,
+    params: KernelParams,
+    graph: AnnulusGraph | None = None,
 ) -> FeasibilityTables:
     """Bottom-up atom feasibility per vertex, rooted at vertex 0.
 
     Atom p is feasible for v iff every child u has a feasible atom within
     the annulus of p. The root table is non-empty iff the tree maps
-    homomorphically into the distance graph.
+    homomorphically into the distance graph. graph is mu's annulus graph
+    at params, built when not given.
     """
     adj = tree.adjacency()
     order = [0]
@@ -97,12 +103,13 @@ def feasibility_dp(
                 children[v].append(u)
                 order.append(u)
 
-    grid = UniformGrid(mu.atoms, params.outer)
+    if graph is None:
+        graph = AnnulusGraph.build(mu.atoms, params)
     feasible = {v: np.ones(len(mu), dtype=bool) for v in range(tree.n_vertices)}
     for v in reversed(order):
         for u in children[v]:
             reach = annulus_sums(
-                mu.atoms, feasible[u].astype(float), mu.atoms, params, grid
+                mu.atoms, feasible[u].astype(float), mu.atoms, params, graph
             )
             feasible[v] &= reach > 0.0
     return FeasibilityTables(
@@ -112,6 +119,7 @@ def feasibility_dp(
         parent=parent,
         children=children,
         feasible=feasible,
+        graph=graph,
     )
 
 
@@ -122,10 +130,9 @@ def verify_witness(
     require_distinct: bool,
 ) -> None:
     """Recheck all edge gaps by direct distance computation; raise on failure."""
+    a = witness.assignment
     for i, j in tree.edges:
-        gap = float(
-            np.linalg.norm(mu.atoms[witness.assignment[i]] - mu.atoms[witness.assignment[j]])
-        )
+        gap = float(pair_distance(mu.atoms[a[i]], mu.atoms[a[j]]))
         if not (witness.params.inner <= gap <= witness.params.outer):
             raise InternalConsistencyError(
                 f"edge ({i},{j}) realized gap {gap} outside the annulus"
@@ -151,68 +158,61 @@ def extract_embedding(
     result whose `exhausted` flag tells proven absence apart from a spent
     node budget.
     """
-    if tables.tree != tree or tables.params != params:
+    if tables.tree != tree or tables.params != params or len(tables.feasible[0]) != len(mu):
         raise ValidationError("tables were built for a different instance")
-    n = len(mu)
     order = tables.order
-    lo2, hi2 = params.inner**2, params.outer**2
-    grid = UniformGrid(mu.atoms, params.outer)
-
-    def annulus_neighbors(atom: int) -> np.ndarray:
-        cand = grid.candidates_for_cell(grid.cell_of(mu.atoms[atom]))
-        diff = mu.atoms[cand] - mu.atoms[atom]
-        sq = np.einsum("ij,ij->i", diff, diff)
-        return cand[(sq >= lo2) & (sq <= hi2)]
-
+    indptr, indices = tables.graph.pairs.indptr, tables.graph.pairs.indices
     assignment: dict[int, int] = {}
-    used = np.zeros(n, dtype=bool)
-    nodes = 0
-    budget_hit = False
+    used = np.zeros(len(mu), dtype=bool)
 
-    def candidates(pos: int) -> np.ndarray:
+    def candidates(pos: int) -> list[int]:
         v = order[pos]
         p = tables.parent[v]
         if p is None:
             cand = np.flatnonzero(tables.feasible[v])
         else:
-            nb = annulus_neighbors(assignment[p])
+            a = assignment[p]
+            nb = indices[indptr[a] : indptr[a + 1]]
             cand = nb[tables.feasible[v][nb]]
         if require_distinct and cand.size:
             cand = cand[~used[cand]]
-        return cand
+        return cand.tolist()
 
-    def search(pos: int) -> EmbeddingWitness | None:
-        nonlocal nodes, budget_hit
-        if pos == len(order):
-            gaps = {
-                (i, j): float(np.linalg.norm(mu.atoms[assignment[i]] - mu.atoms[assignment[j]]))
-                for i, j in tree.edges
-            }
-            atoms_used = list(assignment.values())
-            return EmbeddingWitness(
-                assignment=dict(assignment),
-                gaps=gaps,
-                distinct=len(set(atoms_used)) == len(atoms_used),
-                params=params,
-            )
-        v = order[pos]
-        for atom in candidates(pos):
-            nodes += 1
-            if nodes > node_budget:
-                budget_hit = True
-                return None
-            assignment[v] = int(atom)
-            used[atom] = True
-            found = search(pos + 1)
-            if found is not None:
-                return found
-            used[atom] = False
-            del assignment[v]
-            if budget_hit:
-                return None
-        return None
+    # stack[pos] iterates the candidates for order[pos], computed when the
+    # search first reached pos; the top entry is the vertex being placed
+    witness = None
+    nodes = 0
+    budget_hit = False
+    stack = [iter(candidates(0))]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in assignment:  # back from the subtree below: undo this choice
+            used[assignment.pop(v)] = False
+        atom = next(stack[-1], None)
+        if atom is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            budget_hit = True
+            break
+        assignment[v] = atom
+        used[atom] = True
+        if len(stack) < len(order):
+            stack.append(iter(candidates(len(stack))))
+            continue
+        gaps = {
+            (i, j): float(pair_distance(mu.atoms[assignment[i]], mu.atoms[assignment[j]]))
+            for i, j in tree.edges
+        }
+        witness = EmbeddingWitness(
+            assignment=dict(assignment),
+            gaps=gaps,
+            distinct=len(set(assignment.values())) == len(assignment),
+            params=params,
+        )
+        break
 
-    witness = search(0)
     if witness is not None:
         verify_witness(witness, mu, tree, require_distinct)
     return SearchResult(

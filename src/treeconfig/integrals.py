@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .kernels import KernelParams, annulus_sums
+from .kernels import AnnulusGraph, KernelParams, annulus_sums, pair_distance
 from .measures import AtomicMeasure
 from .pigeonhole import GoodSetChain
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule, path_tree
@@ -99,15 +99,11 @@ def integral_bruteforce(
             f"enumeration needs {n_terms} product terms, over the cap of {term_cap}"
         )
 
-    lo2 = params.inner**2
-    hi2 = params.outer**2
     kernels = {}
     for i, j in tree.edges:
         a, b = mu_per_vertex[i].atoms, mu_per_vertex[j].atoms
-        a2 = np.einsum("ij,ij->i", a, a)
-        b2 = np.einsum("ij,ij->i", b, b)
-        sq = np.maximum(a2[:, None] + b2[None, :] - 2.0 * (a @ b.T), 0.0)
-        kernels[(i, j)] = ((sq >= lo2) & (sq <= hi2)) * params.weight
+        dist = pair_distance(a[:, None, :], b[None, :, :])
+        kernels[(i, j)] = ((dist >= params.inner) & (dist <= params.outer)) * params.weight
 
     strides = [0] * tree.n_vertices
     acc = 1
@@ -135,13 +131,16 @@ def integral_peel(
     schedule: PeelSchedule,
     params: KernelParams,
     good_chain: GoodSetChain | None = None,
+    graph: AnnulusGraph | None = None,
 ) -> IntegralResult:
     """Evaluate the integral by leaf elimination along the schedule.
 
     Unrestricted (good_chain=None) this reorganizes the brute-force sum
     exactly. With a chain, stage sets gate every vertex's summation domain
     as described in the module docstring; the chain must have depth >=
-    schedule.required_depth and matching parameters.
+    schedule.required_depth and matching parameters. graph is mu's annulus
+    graph at params, built when not given; each message is a mat-vec on the
+    rows and columns of its stages.
     """
     n = len(mu)
     atoms = mu.atoms
@@ -158,17 +157,13 @@ def integral_peel(
                 f"chain depth {good_chain.depth} < required {schedule.required_depth}"
             )
 
+    if graph is None:
+        graph = AnnulusGraph.build(atoms, params)
+
     def stage_ids(s: int) -> np.ndarray:
         if not restricted or s == 0:
             return all_ids
         return good_chain.stage_indices(s)
-
-    def masked(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        if len(ids) == n:
-            return values
-        out = np.zeros(n)
-        out[ids] = values[ids]
-        return out
 
     # message[v][a]: product of eliminated-subtree factors with v at atom a
     messages: dict[int, np.ndarray] = {}
@@ -178,9 +173,15 @@ def integral_peel(
     for j, rnd in enumerate(schedule.rounds, start=1):
         leaf_ids = stage_ids(j - 1)
         eval_ids = stage_ids(j)
-        queries = atoms[eval_ids]
+        sources, queries = atoms[leaf_ids], atoms[eval_ids]
+        stage_graph = graph.subgraph(eval_ids, leaf_ids)
+
+        def field(values: np.ndarray) -> np.ndarray:
+            sums = annulus_sums(sources, values[leaf_ids], queries, params, stage_graph)
+            return sums * params.weight
+
         # pure field of the stage measure, shared by this round's factor log
-        pure = annulus_sums(atoms, masked(w, leaf_ids), queries, params) * params.weight
+        pure = field(w)
         fmin, fmax = math.inf, -math.inf
         for host, mult in rnd.attachments:
             powered = pure**mult
@@ -189,11 +190,7 @@ def integral_peel(
         stage_log.append(StageStats(f"round{j}", fmin, fmax))
 
         for v, host in rnd.leaf_hosts:
-            if v in pristine:
-                contrib = pure
-            else:
-                vals = masked(w * messages[v], leaf_ids)
-                contrib = annulus_sums(atoms, vals, queries, params) * params.weight
+            contrib = pure if v in pristine else field(w * messages[v])
             if host in pristine:
                 messages[host] = np.ones(n)
                 pristine.discard(host)
@@ -205,16 +202,17 @@ def integral_peel(
     if restricted and term.j1 == term.j2:
         s2 += 1
     ids1, ids2 = stage_ids(s1), stage_ids(s2)
-    queries2 = atoms[ids2]
+    sources, queries2 = atoms[ids1], atoms[ids2]
+    term_graph = graph.subgraph(ids2, ids1)
 
     def vertex_values(v: int) -> np.ndarray:
         if v in pristine:
             return w
         return w * messages[v]
 
-    inner = annulus_sums(atoms, masked(vertex_values(term.z1), ids1), queries2, params)
+    inner = annulus_sums(sources, vertex_values(term.z1)[ids1], queries2, params, term_graph)
     inner *= params.weight
-    pure_term = annulus_sums(atoms, masked(w, ids1), queries2, params) * params.weight
+    pure_term = annulus_sums(sources, w[ids1], queries2, params, term_graph) * params.weight
     stage_log.append(
         StageStats("terminal", float(pure_term.min()), float(pure_term.max()))
     )

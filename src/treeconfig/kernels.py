@@ -1,10 +1,14 @@
-"""Thickened spherical kernel and fields convolved against atomic measures.
+"""Thickened spherical kernel, the annulus graph of one scale, and fields.
 
 The kernel is the normalized indicator of the closed annulus of radii
 [t - eps, t + eps], with weight 1/(2*eps), so annulus masses and normalized
-field integrals differ by exact powers of (2*eps). Fields are evaluated
-through the uniform-grid neighbor index (cell size t + eps), with per-query
-accumulation in ascending atom order.
+field integrals differ by exact powers of (2*eps).
+
+Every decision "does this pair lie in the annulus" goes through one
+formula, `pair_distance`. An `AnnulusGraph` holds the pairs that pass it
+at one scale as a sparse matrix (rows ascending, column indices sorted);
+fields, chain stages, peel messages and feasibility tables are mat-vecs on
+it, so every query accumulates its sources in ascending atom order.
 """
 
 from __future__ import annotations
@@ -13,10 +17,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .measures import AtomicMeasure
-from .spatial import UniformGrid, block_rows, pairwise_sq_dists
+
+# Candidate pairs one graph build may examine, which bounds the pairs it
+# stores: 4096^2, so a 4096-atom measure fits at every scale.
+DEFAULT_PAIR_CAP = 2**24
+
+# cKDTree rounds distances its own way; it searches a slightly larger ball
+# and pair_distance alone decides membership.
+_RADIUS_PAD = 1e-9
+# Candidate pairs per query block, which bounds the build's temporary memory.
+_BLOCK_PAIRS = 2**14
 
 
 @dataclass(frozen=True)
@@ -72,12 +87,107 @@ class FieldValues:
         return "\n".join(lines) + "\n"
 
 
+def pair_distance(a, b) -> np.ndarray:
+    """The library's one Euclidean distance, broadcast over leading axes.
+
+    sqrt of the squared direct coordinate differences, summed in coordinate
+    order. Symmetric by construction, since (a - b)^2 == (b - a)^2 exactly.
+    """
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    sq = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        sq = sq + diff[..., k] * diff[..., k]
+    return np.sqrt(sq)
+
+
 def kernel_weight(x, params: KernelParams) -> float:
     """1/(2*eps) if |x| lies in the closed annulus [t-eps, t+eps], else 0."""
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    r = float(pair_distance(x, 0.0))
     if params.inner <= r <= params.outer:
         return params.weight
     return 0.0
+
+
+class AnnulusGraph:
+    """Query-source pairs whose pair_distance lies in [params.inner, params.outer].
+
+    pairs is a CSR matrix with one row per query and one column per source;
+    its stored values are the pair distances. indicator shares that
+    structure with all values 1, so indicator @ w sums w over each query's
+    annulus.
+    """
+
+    def __init__(self, pairs: sparse.csr_matrix, params: KernelParams):
+        self.pairs = pairs
+        self.params = params
+        self.indicator = sparse.csr_matrix(
+            (np.ones(pairs.nnz), pairs.indices, pairs.indptr), shape=pairs.shape
+        )
+
+    @classmethod
+    def build(
+        cls,
+        sources,
+        params: KernelParams,
+        queries=None,
+    ) -> "AnnulusGraph":
+        """Graph of queries (default: the sources themselves) against sources."""
+        sources = np.asarray(sources, dtype=float)
+        queries = sources if queries is None else np.asarray(queries, dtype=float)
+        if queries.shape[1] != sources.shape[1]:
+            raise ValidationError(
+                f"dimension mismatch: source d={sources.shape[1]}, queries d={queries.shape[1]}"
+            )
+        rows, cols, dist = _annulus_pairs(queries, sources, params)
+        shape = (len(queries), len(sources))
+        pairs = sparse.coo_matrix((dist, (rows, cols)), shape=shape).tocsr()
+        return cls(pairs, params)
+
+    def within(self, params: KernelParams) -> "AnnulusGraph":
+        """The graph of a nested, no wider annulus, filtered from this one."""
+        if params.inner < self.params.inner or params.outer > self.params.outer:
+            raise ValidationError(
+                f"annulus [{params.inner}, {params.outer}] is not inside "
+                f"[{self.params.inner}, {self.params.outer}]"
+            )
+        d = self.pairs.data
+        inside = (d >= params.inner) & (d <= params.outer)
+        indptr = np.concatenate(([0], np.cumsum(inside)))[self.pairs.indptr]
+        pairs = sparse.csr_matrix(
+            (d[inside], self.pairs.indices[inside], indptr), shape=self.pairs.shape
+        )
+        return AnnulusGraph(pairs, params)
+
+    def subgraph(self, rows: np.ndarray, cols: np.ndarray) -> "AnnulusGraph":
+        """Queries `rows` against sources `cols`, both ascending index arrays."""
+        pairs = self.pairs
+        if len(rows) < pairs.shape[0]:
+            pairs = pairs[rows]
+        if len(cols) < pairs.shape[1]:
+            pairs = pairs[:, cols]
+        return self if pairs is self.pairs else AnnulusGraph(pairs, self.params)
+
+
+def _annulus_pairs(queries, sources, params: KernelParams):
+    """(query, source, distance) arrays of the pairs in the annulus, in no order."""
+    radius = params.outer * (1.0 + _RADIUS_PAD)
+    source_tree, query_tree = cKDTree(sources), cKDTree(queries)
+    candidates = int(query_tree.count_neighbors(source_tree, radius))
+    if candidates > DEFAULT_PAIR_CAP:
+        raise ResourceCapError(
+            f"annulus graph needs {candidates} candidate pairs, over the cap of {DEFAULT_PAIR_CAP}"
+        )
+    # blocks of queries in tree order are spatially compact
+    kept = []
+    for block in np.array_split(query_tree.indices, -(-candidates // _BLOCK_PAIRS) or 1):
+        found = cKDTree(queries[block]).sparse_distance_matrix(
+            source_tree, radius, output_type="ndarray"
+        )
+        r, c = block[found["i"]], found["j"]
+        d = pair_distance(np.take(queries, r, axis=0), np.take(sources, c, axis=0))
+        inside = (d >= params.inner) & (d <= params.outer)
+        kept.append((r[inside].astype(np.int32), c[inside].astype(np.int32), d[inside]))
+    return tuple(np.concatenate(part) for part in zip(*kept))
 
 
 def annulus_sums(
@@ -85,61 +195,36 @@ def annulus_sums(
     source_values: np.ndarray,
     queries: np.ndarray,
     params: KernelParams,
-    grid: UniformGrid | None = None,
+    graph: AnnulusGraph | None = None,
 ) -> np.ndarray:
     """Per query q: sum of source_values over points in the annulus around q.
 
-    The workhorse shared by field convolution, the integral recursion, and
-    the embedding feasibility tables. Candidates come from a uniform grid
-    with cell size t + eps (one cell ring suffices); distances are evaluated
-    in blocks against the squared annulus bounds.
+    The one mat-vec shared by field convolution, the integral recursion and
+    the embedding feasibility tables. graph, when the caller has it, is the
+    annulus graph of these queries against these sources at params;
+    otherwise one is built.
     """
-    source_points = np.asarray(source_points, dtype=float)
-    source_values = np.asarray(source_values, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim == 1:
-        queries = queries.reshape(1, -1)
-    if source_points.shape[1] != queries.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: source d={source_points.shape[1]}, "
-            f"queries d={queries.shape[1]}"
-        )
-    if grid is None:
-        grid = UniformGrid(source_points, params.outer)
-    elif grid.cell_size < params.outer:
-        raise ValidationError("grid cell size smaller than annulus outer radius")
-
-    lo2 = params.inner * params.inner
-    hi2 = params.outer * params.outer
-    out = np.zeros(len(queries))
-    for q_idx, cand in grid.query_groups(queries):
-        if cand.size == 0:
-            continue
-        vals = source_values[cand]
-        pts = source_points[cand]
-        step = block_rows(len(q_idx), cand.size)
-        for s in range(0, len(q_idx), step):
-            rows = q_idx[s : s + step]
-            sq = pairwise_sq_dists(queries[rows], pts)
-            mask = sq >= lo2
-            mask &= sq <= hi2
-            out[rows] = np.einsum("ij,j->i", mask, vals)
-    return out
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if graph is None:
+        graph = AnnulusGraph.build(source_points, params, queries)
+    elif graph.params != params or graph.pairs.shape != (len(queries), len(source_points)):
+        raise ValidationError("annulus graph was built for other points or parameters")
+    return graph.indicator @ np.asarray(source_values, dtype=float)
 
 
 def convolve_field(
     source: AtomicMeasure,
     queries,
     params: KernelParams,
-    grid: UniformGrid | None = None,
+    graph: AnnulusGraph | None = None,
     query_label: str = "",
 ) -> FieldValues:
-    """Field f(q) = sum_a weight_a * kernel(q - atom_a), grid accelerated.
+    """Field f(q) = sum_a weight_a * kernel(q - atom_a), a mat-vec on the annulus graph.
 
     Matches the naive double loop to 1e-12 relative; see the test suite's
     oracle.
     """
-    sums = annulus_sums(source.atoms, source.weights, np.asarray(queries, dtype=float), params, grid)
+    sums = annulus_sums(source.atoms, source.weights, queries, params, graph)
     return FieldValues(
         values=sums * params.weight,
         params=params,

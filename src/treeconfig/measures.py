@@ -110,7 +110,7 @@ class IFSSpec:
                 depth=int(obj["depth"]),
                 probabilities=None if probs is None else np.asarray(probs, dtype=float),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed IFS spec: {exc}") from exc
 
 
@@ -170,7 +170,7 @@ class AtomicMeasure:
                 weights=np.asarray(obj["weights"], dtype=float),
                 label=str(obj.get("label", "")),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed measure file: {exc}") from exc
 
     def save(self, path) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, StageFailureError, ValidationError
-from .kernels import FieldValues, KernelParams, convolve_field, field_norms
+from .kernels import AnnulusGraph, FieldValues, KernelParams, convolve_field, field_norms
 from .measures import AtomicMeasure, restrict_measure
 
 
@@ -204,7 +204,10 @@ class GoodSetChain:
 
 
 def nested_good_sets(
-    mu: AtomicMeasure, params: KernelParams, depth: int
+    mu: AtomicMeasure,
+    params: KernelParams,
+    depth: int,
+    graph: AnnulusGraph | None = None,
 ) -> GoodSetChain:
     """Iterate good-set selection against the self-convolved field.
 
@@ -212,15 +215,20 @@ def nested_good_sets(
     measured integral; stage j+1 convolves the stage-j restriction and
     selects inside it. Raises StageFailureError naming the stage when a
     restricted field has zero integral (t outside the viable range).
+    graph is mu's annulus graph at params, built when not given; each
+    stage is a mat-vec on its kept rows and columns.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    if graph is None:
+        graph = AnnulusGraph.build(mu.atoms, params)
     stages: list[GoodSet] = []
     measures: list[AtomicMeasure] = []
     current = mu
     current_ids = np.arange(len(mu), dtype=np.int64)
     for j in range(1, depth + 1):
-        f = convolve_field(current, current.atoms, params, query_label=f"stage{j}")
+        kept = graph.subgraph(current_ids, current_ids)
+        f = convolve_field(current, current.atoms, params, kept, query_label=f"stage{j}")
         l1, _ = field_norms(f, current.weights)
         if l1 <= 0.0:
             raise StageFailureError(stage=j, t=params.t, eps=params.eps)

@@ -27,13 +27,13 @@ import numpy as np
 
 from .embedding import extract_embedding, feasibility_dp
 from .errors import (
+    EmptyRestrictionError,
     ResourceCapError,
     StageFailureError,
-    TreeConfigError,
     ValidationError,
 )
 from .integrals import DEFAULT_TERM_CAP, IntegralResult, integral_peel
-from .kernels import KernelParams, convolve_field, field_norms
+from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms
 from .measures import DEFAULT_ATOM_CAP, AtomicMeasure, IFSSpec, build_ifs_measure
 from .pigeonhole import nested_good_sets
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule
@@ -165,13 +165,6 @@ class ScanReport:
     tree_label: str = ""
     depth: int = 1
 
-    @property
-    def interval_t_values(self) -> list[float]:
-        if self.interval is None:
-            return []
-        lo, hi = self.interval
-        return [r.t for r in self.rows if lo <= r.t <= hi and r.eps == self.config.eps0]
-
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
@@ -211,17 +204,25 @@ def _scan_one_t(
     schedule: PeelSchedule,
     depth: int,
 ) -> list[ScanRow]:
+    # The ladder's annuli are nested, so the graph of each eps is filtered
+    # from the last one built; only the first is built from the atoms.
+    graph: AnnulusGraph | None = None
+
+    def graph_at(params: KernelParams) -> AnnulusGraph:
+        return AnnulusGraph.build(mu.atoms, params) if graph is None else graph.within(params)
+
     rows = []
     for eps in config.eps_ladder:
         row = ScanRow(t=float(t), eps=float(eps))
         try:
             params = KernelParams(t=float(t), eps=float(eps))
-            f = convolve_field(mu, mu.atoms, params)
+            graph = graph_at(params)
+            f = convolve_field(mu, mu.atoms, params, graph)
             row.l1, row.l2sq = field_norms(f, mu.weights)
-            chain = nested_good_sets(mu, params, depth)
+            chain = nested_good_sets(mu, params, depth, graph)
             row.stage_deltas = [gs.delta for gs in chain.stages]
             row.delta_min = min(row.stage_deltas)
-            row.integral = integral_peel(mu, schedule, params, chain)
+            row.integral = integral_peel(mu, schedule, params, chain, graph)
         except StageFailureError as exc:
             row.status = f"stage{exc.stage}_failure"
         except ResourceCapError:
@@ -233,12 +234,13 @@ def _scan_one_t(
         rows.append(row)
 
     # embedding search once per t, at the smallest ladder eps; a witness at
-    # the smallest tolerance is a witness at every larger one
+    # the smallest tolerance is a witness at every larger one. Internal
+    # consistency errors are bugs and propagate.
     min_eps = config.eps_ladder[-1]
     hom = distinct = False
     try:
         params = KernelParams(t=float(t), eps=float(min_eps))
-        tables = feasibility_dp(mu, tree, params)
+        tables = feasibility_dp(mu, tree, params, graph_at(params))
         hom = tables.root_feasible()
         if hom:
             found = extract_embedding(
@@ -246,7 +248,7 @@ def _scan_one_t(
                 require_distinct=True, node_budget=config.node_budget,
             )
             distinct = found.found
-    except TreeConfigError:
+    except (ResourceCapError, ValidationError, EmptyRestrictionError, StageFailureError):
         pass
     for row in rows:
         row.homomorphism = hom

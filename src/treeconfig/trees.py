@@ -42,7 +42,7 @@ class TreeGraph:
     def from_dict(cls, obj: dict) -> "TreeGraph":
         try:
             return validate_tree(int(obj["n"]), obj["edges"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed tree file: {exc}") from exc
 
     def save(self, path) -> None:

@@ -175,3 +175,43 @@ def test_invalid_params_exit_2(workdir, capsys):
          "--t", "0.5", "--eps", "0.6", "--method", "peel"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        {"d": 2, "atoms": [[0, 0], [1]], "weights": [0.5, 0.5]},  # ragged atoms
+        {"d": 2, "atoms": [[0, 0], [1, 0]], "weights": ["heavy", 0.5]},
+        {"d": "two", "atoms": [[0, 0]], "weights": [1.0]},
+    ],
+)
+def test_malformed_measure_file_exits_2(workdir, measure, capsys):
+    tmp_path, _, _, tree = workdir
+    path = tmp_path / "bad_measure.json"
+    path.write_text(json.dumps(measure))
+    code = run_pipeline(
+        ["embed", "--measure", str(path), "--tree", str(tree), "--t", "1.0", "--eps", "0.1"]
+    )
+    assert code == 2
+    assert "malformed measure file" in capsys.readouterr().err
+
+
+def test_malformed_ifs_spec_exits_2(workdir, capsys):
+    tmp_path, _, _, _ = workdir
+    spec = {"d": 2, "maps": [{"ratio": 0.5, "translation": [[0], [1, 2]]}], "depth": 2}
+    path = tmp_path / "bad_ifs.json"
+    path.write_text(json.dumps(spec))
+    code = run_pipeline(["generate", "--ifs", str(path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "malformed IFS spec" in capsys.readouterr().err
+
+
+def test_malformed_tree_file_exits_2(workdir, capsys):
+    tmp_path, _, measure, _ = workdir
+    path = tmp_path / "bad_tree.json"
+    path.write_text(json.dumps({"n": "three", "edges": [[0, 1], [1, 2]]}))
+    code = run_pipeline(
+        ["embed", "--measure", str(measure), "--tree", str(path), "--t", "1.0", "--eps", "0.1"]
+    )
+    assert code == 2
+    assert "malformed tree file" in capsys.readouterr().err

@@ -119,3 +119,28 @@ def test_extract_rejects_foreign_tables():
     tables = tc.feasibility_dp(mu, tc.path_tree(1), P)
     with pytest.raises(tc.ValidationError):
         tc.extract_embedding(tables, mu, tc.star_tree(2), P)
+
+
+def test_search_visits_atoms_in_ascending_order():
+    # the broom (path 0-4 plus four leaves on vertex 4) maps homomorphically
+    # into the 4-neighbour grid but never injectively; proving that takes
+    # 8817 nodes when candidates are tried in ascending atom order
+    broom = tc.validate_tree(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7), (4, 8)])
+    grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    atoms = 0.05 * grid[np.random.default_rng(3).permutation(len(grid))]
+    mu = tc.AtomicMeasure(d=2, atoms=atoms, weights=np.full(25, 1 / 25))
+    p = tc.KernelParams(t=0.05, eps=0.01)
+    res = tc.extract_embedding(tc.feasibility_dp(mu, broom, p), mu, broom, p)
+    assert not res.found and res.exhausted
+    assert res.nodes_visited == 8817
+
+
+def test_long_path_embeds_without_recursion():
+    n = 1201
+    mu = tc.AtomicMeasure(d=1, atoms=np.arange(n, dtype=float)[:, None], weights=np.full(n, 1 / n))
+    tree = tc.path_tree(n - 1)
+    tables = tc.feasibility_dp(mu, tree, P)
+    res = tc.extract_embedding(tables, mu, tree, P)
+    assert res.found and res.witness.distinct
+    assert [res.witness.assignment[v] for v in range(n)] == list(range(n))
+    assert res.nodes_visited == n

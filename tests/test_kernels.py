@@ -133,3 +133,48 @@ def test_field_values_validation():
 def test_field_csv_export():
     f = tc.FieldValues(values=np.array([0.5, 2.0]), params=tc.KernelParams(1.0, 0.1))
     assert f.to_csv() == "query_index,value\n0,0.5\n1,2.0\n"
+
+
+def test_pair_distance_is_symmetric_and_direct():
+    rng = np.random.default_rng(4)
+    a, b = rng.random((50, 3)) * 1e3, rng.random((50, 3)) * 1e3
+    assert np.array_equal(tc.pair_distance(a, b), tc.pair_distance(b, a))
+    direct = np.sqrt(
+        (a[:, 0] - b[:, 0]) ** 2 + (a[:, 1] - b[:, 1]) ** 2 + (a[:, 2] - b[:, 2]) ** 2
+    )
+    assert np.array_equal(tc.pair_distance(a, b), direct)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_annulus_graph_matches_dense_predicate(d):
+    rng = np.random.default_rng(10 + d)
+    atoms = np.round(rng.random((300, d)), 1)  # lattice: boundary hits and duplicates
+    p = tc.KernelParams(t=0.3, eps=0.1)
+    graph = tc.AnnulusGraph.build(atoms, p)
+    dist = tc.pair_distance(atoms[:, None, :], atoms[None, :, :])
+    expected = (dist >= p.inner) & (dist <= p.outer)
+    assert np.array_equal(graph.pairs.toarray() > 0, expected)
+    assert graph.pairs.has_sorted_indices
+    narrower = tc.KernelParams(t=0.3, eps=0.05)
+    rebuilt = tc.AnnulusGraph.build(atoms, narrower)
+    assert (graph.within(narrower).pairs != rebuilt.pairs).nnz == 0
+    rows, cols = np.arange(0, 300, 3), np.arange(0, 300, 2)
+    sub = tc.AnnulusGraph.build(atoms[cols], p, queries=atoms[rows])
+    assert (graph.subgraph(rows, cols).pairs != sub.pairs).nnz == 0
+
+
+def test_annulus_graph_rejects_wider_annulus_and_foreign_points():
+    atoms = np.random.default_rng(5).random((40, 2))
+    p = tc.KernelParams(t=0.5, eps=0.1)
+    graph = tc.AnnulusGraph.build(atoms, p)
+    with pytest.raises(tc.ValidationError, match="not inside"):
+        graph.within(tc.KernelParams(t=0.5, eps=0.2))
+    with pytest.raises(tc.ValidationError, match="other points"):
+        tc.annulus_sums(atoms[:10], np.ones(10), atoms, p, graph)
+
+
+def test_annulus_graph_pair_cap(monkeypatch):
+    monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", 50)
+    atoms = np.random.default_rng(6).random((100, 2))
+    with pytest.raises(tc.ResourceCapError, match="cap of 50"):
+        tc.AnnulusGraph.build(atoms, tc.KernelParams(t=0.5, eps=0.1))

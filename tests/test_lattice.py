@@ -1,0 +1,38 @@
+"""Lattice inputs: atoms on the 0.1-grid of [0,1]^2, t and eps on its half-grid.
+
+Many atom pairs then sit exactly on an annulus boundary, so every layer has
+to make the same in/out decision for them: the peel integral must equal the
+brute-force oracle, and every extracted witness must pass re-verification.
+"""
+
+import numpy as np
+import pytest
+
+import treeconfig as tc
+from conftest import pruefer_tree
+
+LATTICE = np.array([[i / 10, j / 10] for i in range(11) for j in range(11)])
+
+
+def lattice_instance(rng, n_vertices: int, n_atoms: int):
+    seq = [int(v) for v in rng.integers(0, n_vertices, n_vertices - 2)]
+    tree = pruefer_tree(seq, n_vertices)
+    picks = rng.choice(len(LATTICE), size=n_atoms, replace=False)
+    mu = tc.AtomicMeasure(d=2, atoms=LATTICE[picks], weights=rng.random(n_atoms) + 0.01)
+    k = int(rng.integers(1, 11))  # t = k/10
+    m = int(rng.integers(1, 2 * k))  # eps = m/20 < t
+    return mu, tree, tc.KernelParams(t=k / 10, eps=m / 20)
+
+
+@pytest.mark.parametrize("n_vertices", [2, 3, 4, 5])
+def test_peel_equals_oracle_and_witnesses_verify(n_vertices):
+    rng = np.random.default_rng(1100 + n_vertices)
+    for _ in range(100):
+        mu, tree, params = lattice_instance(rng, n_vertices, 10)
+        oracle = tc.integral_bruteforce([mu] * n_vertices, tree, params).value
+        peel = tc.integral_peel(mu, tc.compute_peel_schedule(tree), params).value
+        assert peel == pytest.approx(oracle, rel=1e-9, abs=0.0)
+        # a witness failing re-verification raises InternalConsistencyError
+        tables = tc.feasibility_dp(mu, tree, params)
+        tc.extract_embedding(tables, mu, tree, params, require_distinct=True)
+

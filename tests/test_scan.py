@@ -3,6 +3,7 @@ import json
 import pytest
 
 import treeconfig as tc
+from treeconfig.cli import run_pipeline
 from treeconfig.scan import CSV_HEADER
 
 
@@ -150,3 +151,34 @@ def test_scan_loads_files(tmp_path, pair_measure):
 def test_scan_requires_single_source(tmp_path):
     with pytest.raises(tc.ValidationError, match="exactly one"):
         tc.scan_interval(tc.ScanConfig(tree_file="x"), measure=None, tree=tc.path_tree(1))
+
+
+def _failing_search(error):
+    def search(*args, **kwargs):
+        raise error("injected")
+
+    return search
+
+
+def test_internal_error_in_search_is_not_a_missing_witness(
+    tmp_path, monkeypatch, pair_measure, pair_config
+):
+    monkeypatch.setattr(
+        "treeconfig.scan.extract_embedding", _failing_search(tc.InternalConsistencyError)
+    )
+    with pytest.raises(tc.InternalConsistencyError):
+        tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    mfile, tfile, cfile = tmp_path / "m.json", tmp_path / "t.json", tmp_path / "c.json"
+    pair_measure.save(mfile)
+    tc.path_tree(1).save(tfile)
+    config = pair_config.to_dict()
+    config.update(measure_file=str(mfile), tree_file=str(tfile), out_dir=str(tmp_path / "out"))
+    cfile.write_text(json.dumps(config))
+    assert run_pipeline(["scan", "--config", str(cfile)]) == 1
+
+
+def test_capped_search_reads_as_no_witness(monkeypatch, pair_measure, pair_config):
+    monkeypatch.setattr("treeconfig.scan.extract_embedding", _failing_search(tc.ResourceCapError))
+    report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    assert any(r.homomorphism for r in report.rows)
+    assert not any(r.distinct_witness for r in report.rows)
