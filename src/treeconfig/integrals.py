@@ -140,7 +140,8 @@ def integral_peel(
     as described in the module docstring; the chain must have depth >=
     schedule.required_depth and matching parameters. graph is mu's annulus
     graph at params, built when not given; each message is a mat-vec on the
-    rows and columns of its stages.
+    rows and columns of its stages. Round j's pure stage field is the
+    chain's fields[j-1] when a chain is given.
     """
     n = len(mu)
     atoms = mu.atoms
@@ -180,8 +181,9 @@ def integral_peel(
             sums = annulus_sums(sources, values[leaf_ids], queries, params, stage_graph)
             return sums * params.weight
 
-        # pure field of the stage measure, shared by this round's factor log
-        pure = field(w)
+        # pure field of the stage measure (the chain's, over the same rows and
+        # columns, when restricted), shared by this round's factor log
+        pure = good_chain.fields[j - 1] if restricted else field(w)
         fmin, fmax = math.inf, -math.inf
         for host, mult in rnd.attachments:
             powered = pure**mult

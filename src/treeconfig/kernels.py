@@ -68,8 +68,6 @@ class FieldValues:
 
     values: np.ndarray
     params: KernelParams
-    source_label: str = ""
-    query_label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -217,7 +215,6 @@ def convolve_field(
     queries,
     params: KernelParams,
     graph: AnnulusGraph | None = None,
-    query_label: str = "",
 ) -> FieldValues:
     """Field f(q) = sum_a weight_a * kernel(q - atom_a), a mat-vec on the annulus graph.
 
@@ -225,12 +222,7 @@ def convolve_field(
     oracle.
     """
     sums = annulus_sums(source.atoms, source.weights, queries, params, graph)
-    return FieldValues(
-        values=sums * params.weight,
-        params=params,
-        source_label=source.label,
-        query_label=query_label,
-    )
+    return FieldValues(values=sums * params.weight, params=params)
 
 
 def field_norms(f: FieldValues, weights_at_queries) -> tuple[float, float]:

@@ -180,14 +180,15 @@ class GoodSetChain:
     """Nested stages G(1) ⊇ G(2) ⊇ ... with the restricted measures per stage.
 
     stages[j-1].indices are atom ids of the source measure; measures[j-1]
-    is the source restricted to them (weights unchanged).
+    is the source restricted to them (weights unchanged); fields[j-1] is the
+    stage-j field (that of the stage-(j-1) measure) at those atoms.
     """
 
     stages: list[GoodSet]
     measures: list[AtomicMeasure]
+    fields: list[np.ndarray]
     params: KernelParams
     n_atoms: int
-    source_label: str = ""
 
     @property
     def depth(self) -> int:
@@ -208,6 +209,7 @@ def nested_good_sets(
     params: KernelParams,
     depth: int,
     graph: AnnulusGraph | None = None,
+    field: FieldValues | None = None,
 ) -> GoodSetChain:
     """Iterate good-set selection against the self-convolved field.
 
@@ -216,32 +218,36 @@ def nested_good_sets(
     selects inside it. Raises StageFailureError naming the stage when a
     restricted field has zero integral (t outside the viable range).
     graph is mu's annulus graph at params, built when not given; each
-    stage is a mat-vec on its kept rows and columns.
+    stage is a mat-vec on its kept rows and columns. field, when given, is
+    the stage-1 field convolve_field(mu, mu.atoms, params), used as is.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    if field is not None and (field.params != params or len(field) != len(mu)):
+        raise ValidationError("stage-1 field was computed for other parameters or atoms")
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)
     stages: list[GoodSet] = []
     measures: list[AtomicMeasure] = []
+    fields: list[np.ndarray] = []
     current = mu
     current_ids = np.arange(len(mu), dtype=np.int64)
+    f = field
     for j in range(1, depth + 1):
-        kept = graph.subgraph(current_ids, current_ids)
-        f = convolve_field(current, current.atoms, params, kept, query_label=f"stage{j}")
+        if f is None:
+            kept = graph.subgraph(current_ids, current_ids)
+            f = convolve_field(current, current.atoms, params, kept)
         l1, _ = field_norms(f, current.weights)
         if l1 <= 0.0:
             raise StageFailureError(stage=j, t=params.t, eps=params.eps)
         gs = good_set(f, current, l1 / 2.0, stage=j)
+        fields.append(f.values[gs.indices])
         original_ids = current_ids[gs.indices]
         stages.append(replace(gs, indices=original_ids))
         current = restrict_measure(mu, original_ids)
         measures.append(current)
         current_ids = original_ids
+        f = None
     return GoodSetChain(
-        stages=stages,
-        measures=measures,
-        params=params,
-        n_atoms=len(mu),
-        source_label=mu.label,
+        stages=stages, measures=measures, fields=fields, params=params, n_atoms=len(mu)
     )

@@ -11,16 +11,17 @@ restricted integral over I x ladder are reported as the bound candidates.
 
 Scans are deterministic: fixed iteration order, seeded choices only, and
 CSV floats written as shortest round-trip decimals, so identical configs
-produce byte-identical outputs. TREECONFIG_THREADS > 1 evaluates grid
-points in a thread pool; rows are assembled in grid order regardless.
+produce byte-identical outputs.
+
+Each grid point computes its stage-1 field once: the scan takes the norms
+from it and hands it to the chain, and the chain keeps every stage's field
+on its kept atoms for the restricted integral's peel rounds.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,14 @@ from .pigeonhole import nested_good_sets
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule
 
 CSV_HEADER = "t,eps,l1,l2sq,delta_min,integral_restricted,homomorphism,distinct_witness,status"
+
+
+def _json_matches(value, annotation: str) -> bool:
+    """Whether a JSON value fits a ScanConfig annotation; int fields reject bool and float."""
+    kinds = annotation.split(" | ")
+    if type(value) is int:
+        return "int" in kinds or "float" in kinds
+    return ("None" if value is None else type(value).__name__) in kinds
 
 
 @dataclass
@@ -83,29 +92,19 @@ class ScanConfig:
         return [self.eps0 * 2.0**-i for i in range(self.halvings + 1)]
 
     def to_dict(self) -> dict:
-        return {
-            "tree_file": self.tree_file,
-            "measure_file": self.measure_file,
-            "ifs_file": self.ifs_file,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "t_steps": self.t_steps,
-            "eps0": self.eps0,
-            "halvings": self.halvings,
-            "depth": self.depth,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "atom_cap": self.atom_cap,
-            "term_cap": self.term_cap,
-            "node_budget": self.node_budget,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScanConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValidationError("a scan config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(obj) - set(types)
         if unknown:
             raise ValidationError(f"unknown scan config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            if not _json_matches(value, types[key]):
+                raise ValidationError(f"scan config {key} must be {types[key]}, got {value!r}")
         return cls(**obj)
 
     @classmethod
@@ -188,14 +187,6 @@ def load_measure_for(config: ScanConfig) -> AtomicMeasure:
     return build_ifs_measure(spec, atom_cap=config.atom_cap)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TREECONFIG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"TREECONFIG_THREADS must be an integer, got {raw!r}")
-
-
 def _scan_one_t(
     t: float,
     config: ScanConfig,
@@ -219,7 +210,7 @@ def _scan_one_t(
             graph = graph_at(params)
             f = convolve_field(mu, mu.atoms, params, graph)
             row.l1, row.l2sq = field_norms(f, mu.weights)
-            chain = nested_good_sets(mu, params, depth, graph)
+            chain = nested_good_sets(mu, params, depth, graph, f)
             row.stage_deltas = [gs.delta for gs in chain.stages]
             row.delta_min = min(row.stage_deltas)
             row.integral = integral_peel(mu, schedule, params, chain, graph)
@@ -275,18 +266,7 @@ def scan_interval(
     depth = config.depth if config.depth is not None else schedule.required_depth
 
     t_values = config.t_values
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_t = list(
-                pool.map(
-                    lambda t: _scan_one_t(t, config, mu, tree, schedule, depth),
-                    t_values,
-                )
-            )
-    else:
-        per_t = [_scan_one_t(t, config, mu, tree, schedule, depth) for t in t_values]
-
+    per_t = [_scan_one_t(t, config, mu, tree, schedule, depth) for t in t_values]
     rows = [row for group in per_t for row in group]
 
     ok_per_t = [all(r.succeeded for r in group) for group in per_t]

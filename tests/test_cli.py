@@ -215,3 +215,13 @@ def test_malformed_tree_file_exits_2(workdir, capsys):
     )
     assert code == 2
     assert "malformed tree file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"t_min": "a"}, {"t_steps": 2.5}])
+def test_mistyped_scan_config_exits_2(workdir, bad, capsys):
+    tmp_path, _, measure, tree = workdir
+    config = {"measure_file": str(measure), "tree_file": str(tree), **bad}
+    path = tmp_path / "bad_scan.json"
+    path.write_text(json.dumps(config))
+    assert run_pipeline(["scan", "--config", str(path)]) == 2
+    assert f"scan config {next(iter(bad))} must be" in capsys.readouterr().err

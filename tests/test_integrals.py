@@ -113,6 +113,26 @@ def test_restricted_peel_equals_per_vertex_restricted_oracle(seed):
     assert restricted.value == pytest.approx(oracle.value, rel=1e-9, abs=1e-12)
 
 
+def test_restricted_peel_reuses_the_chain_fields(monkeypatch, cantor_small):
+    # path_tree(2): one round whose leaf is pristine, then the terminal pair
+    p = tc.KernelParams(t=0.6, eps=0.06)
+    sched = tc.compute_peel_schedule(tc.path_tree(2))
+    chain = tc.nested_good_sets(cantor_small, p, sched.required_depth)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tc.annulus_sums(*args, **kwargs)
+
+    monkeypatch.setattr("treeconfig.integrals.annulus_sums", counted)
+    restricted = tc.integral_peel(cantor_small, sched, p, chain)
+    assert len(calls) == 2  # the terminal pair only
+    calls.clear()
+    tc.integral_peel(cantor_small, sched, p)
+    assert len(calls) == 3  # the round's pure field, then the terminal pair
+    assert restricted.stage_log[0].factor_min == float(chain.fields[0].min())
+
+
 def test_peel_rejects_mismatched_chain():
     mu, p = _pair_measure()
     sched = tc.compute_peel_schedule(tc.path_tree(1))

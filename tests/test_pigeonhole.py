@@ -132,6 +132,33 @@ def test_nested_chain_invariants(cantor_small):
         prev, prev_mass = cur, m.total_mass
 
 
+def test_chain_keeps_each_stage_field_at_its_atoms(cantor_small):
+    p = tc.KernelParams(t=0.6, eps=0.06)
+    chain = tc.nested_good_sets(cantor_small, p, depth=3)
+    prev_ids = np.arange(len(cantor_small))
+    for j in range(1, chain.depth + 1):
+        prev = tc.restrict_measure(cantor_small, prev_ids)
+        ids = chain.stage_indices(j)
+        f = tc.convolve_field(prev, prev.atoms, p).values[np.searchsorted(prev_ids, ids)]
+        assert np.array_equal(chain.fields[j - 1], f)
+        prev_ids = ids
+
+
+def test_handed_in_field_is_used_and_checked(cantor_small):
+    p = tc.KernelParams(t=0.6, eps=0.06)
+    f = tc.convolve_field(cantor_small, cantor_small.atoms, p)
+    chain = tc.nested_good_sets(cantor_small, p, depth=2, field=f)
+    plain = tc.nested_good_sets(cantor_small, p, depth=2)
+    for a, b in zip(chain.fields, plain.fields):
+        assert np.array_equal(a, b)
+    other = tc.convolve_field(cantor_small, cantor_small.atoms, tc.KernelParams(t=0.6, eps=0.05))
+    with pytest.raises(tc.ValidationError, match="stage-1 field"):
+        tc.nested_good_sets(cantor_small, p, depth=1, field=other)
+    short = tc.FieldValues(values=f.values[:-1], params=p)
+    with pytest.raises(tc.ValidationError, match="stage-1 field"):
+        tc.nested_good_sets(cantor_small, p, depth=1, field=short)
+
+
 def test_restricted_mass_meets_certificate(cantor_small):
     # cross-module consistency: restricting to G(1) keeps at least delta
     p = tc.KernelParams(t=0.6, eps=0.06)

@@ -114,19 +114,21 @@ def test_scan_is_deterministic(tmp_path, pair_measure, pair_config):
     assert a == b
 
 
-def test_thread_pool_matches_serial(tmp_path, pair_measure, pair_config, monkeypatch):
-    serial = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
-    monkeypatch.setenv("TREECONFIG_THREADS", "3")
-    threaded = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
-    a = tc.emit_report(serial, tmp_path / "s")["csv"].read_bytes()
-    b = tc.emit_report(threaded, tmp_path / "t")["csv"].read_bytes()
-    assert a == b
+def test_scan_computes_each_stage_field_once(monkeypatch, pair_measure, pair_config):
+    calls = []
 
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tc.convolve_field(*args, **kwargs)
 
-def test_bad_threads_env(monkeypatch, pair_measure, pair_config):
-    monkeypatch.setenv("TREECONFIG_THREADS", "many")
-    with pytest.raises(tc.ValidationError):
-        tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    monkeypatch.setattr("treeconfig.scan.convolve_field", counted)
+    monkeypatch.setattr("treeconfig.pigeonhole.convolve_field", counted)
+    config = tc.ScanConfig(**dict(pair_config.to_dict(), depth=2))
+    report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
+    statuses = [r.status for r in report.rows]
+    assert set(statuses) == {"ok", "stage1_failure"}
+    # one field per chain stage reached; the scan's own is the chain's stage 1
+    assert len(calls) == sum(2 if s == "ok" else 1 for s in statuses)
 
 
 def test_scan_loads_files(tmp_path, pair_measure):
