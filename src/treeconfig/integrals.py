@@ -6,8 +6,10 @@ kernel factor to each edge:
     value = sum over atom tuples (a_0, ..., a_k) of
             prod_{(i,j) in edges} kernel(x_{a_i} - x_{a_j}) * prod_v w_{a_v}.
 
-Two evaluators are provided. The brute-force one enumerates every tuple
-(chunked, capped) and is the oracle. The peel evaluator eliminates
+Two evaluators are provided. The brute-force one forms every product term
+and is the oracle: it enumerates prefix tuples in blocks and broadcasts the
+remaining vertices as dense tensor axes, so a block holds at most _CHUNK
+terms, and the term_cap check bounds the total. The peel evaluator eliminates
 vertices along a leaf-peeling schedule, accumulating per-vertex message
 fields, and reorganizes exactly the same sum, so the two agree to float
 reassociation error. With a nested good-set chain supplied, every vertex
@@ -84,6 +86,14 @@ def integral_bruteforce(
     Accepts one measure per vertex so restricted variants can be checked
     directly. The number of product terms (product of atom counts) must
     stay under term_cap.
+
+    Every term is formed and summed. The vertices split into a prefix
+    0..s-1 and the longest tail s..k-1 whose tuples number at most
+    _CHUNK. Each block of P prefix tuples becomes one dense tensor of shape
+    (P, n_s, ..., n_{k-1}): every weight and kernel factor is gathered on
+    its prefix axes and broadcast over its tail axes, so a block holds at
+    most _CHUNK terms and memory stays bounded. Blocks are summed with
+    np.sum, and the block sums with math.fsum.
     """
     if len(mu_per_vertex) != tree.n_vertices:
         raise ValidationError(
@@ -99,27 +109,33 @@ def integral_bruteforce(
             f"enumeration needs {n_terms} product terms, over the cap of {term_cap}"
         )
 
-    kernels = {}
-    for i, j in tree.edges:
+    # One factor per vertex weight and per edge kernel, each with its vertex
+    # axes in ascending order.
+    factors = [((v,), m.weights) for v, m in enumerate(mu_per_vertex)]
+    for i, j in map(sorted, tree.edges):
         a, b = mu_per_vertex[i].atoms, mu_per_vertex[j].atoms
         dist = pair_distance(a[:, None, :], b[None, :, :])
-        kernels[(i, j)] = ((dist >= params.inner) & (dist <= params.outer)) * params.weight
+        factors.append(((i, j), ((dist >= params.inner) & (dist <= params.outer)) * params.weight))
 
-    strides = [0] * tree.n_vertices
-    acc = 1
-    for v in range(tree.n_vertices - 1, -1, -1):
-        strides[v] = acc
-        acc *= counts[v]
-
+    # The tail vertices s..k-1 span a dense block of at most _CHUNK tuples
+    # and 31 axes (a block fits numpy's 32 dimensions); the prefix tuples
+    # are decoded from a linear index, `block` at a time.
+    k = tree.n_vertices
+    s = next(s for s in range(k + 1) if math.prod(counts[s:]) <= _CHUNK and k - s <= 31)
+    n_prefix, tail_shape = math.prod(counts[:s]), counts[s:]
+    block = max(1, _CHUNK // math.prod(tail_shape))
+    strides = [math.prod(counts[v + 1 : s]) for v in range(s)]
     chunk_sums = []
-    for start in range(0, n_terms, _CHUNK):
-        lin = np.arange(start, min(start + _CHUNK, n_terms), dtype=np.int64)
-        idx = [(lin // strides[v]) % counts[v] for v in range(tree.n_vertices)]
-        term = np.ones(len(lin))
-        for (i, j), km in kernels.items():
-            term *= km[idx[i], idx[j]]
-        for v in range(tree.n_vertices):
-            term *= mu_per_vertex[v].weights[idx[v]]
+    for start in range(0, n_prefix, block):
+        lin = np.arange(start, min(start + block, n_prefix), dtype=np.int64)
+        idx = [(lin // strides[v]) % counts[v] for v in range(s)]
+        term = np.ones((len(lin), *tail_shape))
+        for axes, arr in factors:
+            # gather the prefix axes onto the block axis, broadcast the tail axes
+            gathered = arr[tuple(idx[v] for v in axes if v < s)]
+            shape = [len(lin) if axes[0] < s else 1]
+            shape += [counts[v] if v in axes else 1 for v in range(s, k)]
+            term *= gathered.reshape(shape)
         chunk_sums.append(float(np.sum(term)))
     return IntegralResult(
         value=math.fsum(chunk_sums), method="oracle", stage_log=[], params=params

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeconfig as tc
-from conftest import random_tree
+from conftest import pruefer_tree, random_tree
 
 
 def _pair_measure(eps=0.1):
@@ -47,6 +49,98 @@ def test_bruteforce_dimension_mismatch():
     b = tc.AtomicMeasure(d=2, atoms=[[0.0, 0.0]], weights=[1.0])
     with pytest.raises(tc.ValidationError, match="dimension"):
         tc.integral_bruteforce([a, b], tc.path_tree(1), tc.KernelParams(1, 0.1))
+
+
+def literal_sum(measures, tree, params):
+    """The tree integral as a Python loop over itertools.product."""
+    kernel = {
+        (i, j): [
+            [tc.kernel_weight(a - b, params) for b in measures[j].atoms]
+            for a in measures[i].atoms
+        ]
+        for i, j in tree.edges
+    }
+    terms = []
+    for tup in itertools.product(*(range(len(m)) for m in measures)):
+        term = math.prod(float(m.weights[a]) for m, a in zip(measures, tup))
+        for (i, j), km in kernel.items():
+            term *= km[tup[i]][tup[j]]
+        terms.append(term)
+    return math.fsum(terms)
+
+
+@st.composite
+def oracle_instances(draw):
+    d = draw(st.integers(1, 3))
+    n_vertices = draw(st.integers(2, 5))
+    pruefer = st.integers(0, n_vertices - 1)
+    seq = draw(st.lists(pruefer, min_size=n_vertices - 2, max_size=n_vertices - 2))
+    cell = st.tuples(*[st.integers(0, 6)] * d)
+    weight = st.sampled_from([0.0, 0.125, 0.5, 1.0, 0.3])
+    measures = []
+    for _ in range(n_vertices):
+        n = draw(st.integers(1, 5))
+        cells = draw(st.lists(cell, min_size=n, max_size=n))
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+        # atoms on the 0.1-lattice, duplicates allowed
+        measures.append(tc.AtomicMeasure(d=d, atoms=np.array(cells) / 10, weights=weights))
+    k = draw(st.integers(1, 6))
+    params = tc.KernelParams(t=k / 10, eps=draw(st.integers(1, 2 * k - 1)) / 20)
+    return measures, pruefer_tree(seq, n_vertices), params
+
+
+@given(instance=oracle_instances(), chunk=st.sampled_from([1, 3, 8, 40, 500_000]))
+@settings(max_examples=150, deadline=None)
+def test_bruteforce_equals_literal_sum(instance, chunk):
+    # distinct measures per vertex, 1-atom vertices, duplicate atoms, zero
+    # weights and boundary distances; small chunks force several prefix
+    # blocks and every prefix/tail split
+    measures, tree, params = instance
+    expected = literal_sum(measures, tree, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("treeconfig.integrals._CHUNK", chunk)
+        value = tc.integral_bruteforce(measures, tree, params).value
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "counts, chunk",
+    [
+        ([3, 4, 5], 500_000),  # one block, all vertices in the tail
+        ([3, 4, 5], 6),  # tail {2}, one prefix tuple per block
+        ([3, 4, 5], 45),  # tail {1, 2}, two prefix tuples per block
+        ([3, 4, 5], 4),  # every tail too large: prefix-only blocks of 4
+        ([20_000, 2], 1_000),  # skewed: tail {1}, 500 prefix tuples per block
+        ([2, 20_000], 1_000),  # skewed the other way: no tail
+    ],
+)
+def test_bruteforce_prefix_tail_splits(counts, chunk, monkeypatch):
+    rng = np.random.default_rng(sum(counts) + chunk)
+    measures = [
+        tc.AtomicMeasure(d=2, atoms=rng.random((n, 2)), weights=rng.random(n))
+        for n in counts
+    ]
+    tree = tc.path_tree(len(counts) - 1)
+    params = tc.KernelParams(t=0.5, eps=0.2)
+    expected = literal_sum(measures, tree, params)
+    monkeypatch.setattr("treeconfig.integrals._CHUNK", chunk)
+    value = tc.integral_bruteforce(measures, tree, params).value
+    assert value > 0
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_vertices", [40, 70])
+def test_bruteforce_long_path_of_single_atoms(n_vertices):
+    # at most 31 tail axes, however small the tail's tuple count
+    measures = [
+        tc.AtomicMeasure(d=1, atoms=[[float(v)]], weights=[0.5 + v % 3 / 4])
+        for v in range(n_vertices)
+    ]
+    tree = tc.path_tree(n_vertices - 1)
+    params = tc.KernelParams(t=1.0, eps=0.1)
+    value = tc.integral_bruteforce(measures, tree, params).value
+    assert value == pytest.approx(literal_sum(measures, tree, params), rel=1e-12, abs=0.0)
+    assert value > 0
 
 
 def test_peel_matches_oracle_on_trivials():

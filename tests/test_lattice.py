@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import treeconfig as tc
-from conftest import pruefer_tree
+from conftest import pruefer_tree, random_tree
 
 LATTICE = np.array([[i / 10, j / 10] for i in range(11) for j in range(11)])
 
@@ -36,3 +36,32 @@ def test_peel_equals_oracle_and_witnesses_verify(n_vertices):
         tables = tc.feasibility_dp(mu, tree, params)
         tc.extract_embedding(tables, mu, tree, params, require_distinct=True)
 
+
+def lattice_points(d: int) -> np.ndarray:
+    """The 0.1-lattice with at least 40 points: [0, 4] for d = 1, else [0, 1]^d."""
+    side = 41 if d == 1 else 11
+    grid = np.indices((side,) * d).reshape(d, -1).T
+    return grid / 10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_vertices", [2, 3, 4, 5])
+def test_peel_equals_oracle_on_lattices_up_to_the_caps(d, n_vertices):
+    # atom counts up to the criterion-1 caps, about 10% zero weights
+    rng = np.random.default_rng(1200 + 10 * d + n_vertices)
+    points = lattice_points(d)
+    cap = 25 if n_vertices == 5 else 40
+    for _ in range(20):
+        tree = random_tree(n_vertices, rng)
+        n_atoms = int(rng.integers(2, cap + 1))
+        weights = (rng.random(n_atoms) + 0.01) * (rng.random(n_atoms) >= 0.1)
+        mu = tc.AtomicMeasure(
+            d=d, atoms=points[rng.choice(len(points), n_atoms, replace=False)], weights=weights
+        )
+        k = int(rng.integers(1, 11))  # t = k/10
+        params = tc.KernelParams(t=k / 10, eps=int(rng.integers(1, 2 * k)) / 20)
+        oracle = tc.integral_bruteforce([mu] * n_vertices, tree, params).value
+        peel = tc.integral_peel(mu, tc.compute_peel_schedule(tree), params).value
+        assert peel == pytest.approx(oracle, rel=1e-9, abs=0.0)
+        tables = tc.feasibility_dp(mu, tree, params)
+        tc.extract_embedding(tables, mu, tree, params, require_distinct=True)
