@@ -3,8 +3,11 @@
 Each round strips the current degree-1 vertices, attaching their kernel
 factors to host vertices; when stripping them all would leave a single
 vertex, the lowest-id leaf is kept so the process ends at one edge. The
-terminal pair records the last round each endpoint hosted, which later
-controls how deep the nested restriction has to go.
+terminal pair records the last round each endpoint hosted. Each vertex's
+stage is the last round it hosted (the terminal z2 one deeper when both
+endpoints share a stage); the restricted integral gives each vertex the
+measure with zero weight off its stage, and the deepest stage is the
+chain depth the restriction needs.
 """
 
 import treeconfig as tc
@@ -20,8 +23,7 @@ def show(name, tree):
     t = s.terminal
     print(f"  terminal edge ({t.z1}, {t.z2}) with stages ({t.j1}, {t.j2}); "
           f"restricted evaluation needs depth {s.required_depth}")
-    stages = s.vertex_stages(bump_terminal=True)
-    print(f"  vertex stages (terminal-adjusted): {stages}\n")
+    print(f"  vertex stages (terminal-adjusted): {s.vertex_stages()}\n")
 
 
 def main():

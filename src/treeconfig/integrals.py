@@ -12,11 +12,11 @@ remaining vertices as dense tensor axes, so a block holds at most _CHUNK
 terms, and the term_cap check bounds the total. The peel evaluator eliminates
 vertices along a leaf-peeling schedule, accumulating per-vertex message
 fields, and reorganizes exactly the same sum, so the two agree to float
-reassociation error. With a nested good-set chain supplied, every vertex
-is confined to the stage it reached during peeling (hosts of round j to
-stage j; the terminal pair to its recorded stages, the second endpoint one
-stage deeper when both coincide), which equals brute force computed with
-each vertex's measure replaced by its stage restriction.
+reassociation error. With a nested good-set chain supplied, each vertex v
+integrates against mu with zero weight off stage schedule.vertex_stages()[v],
+which equals brute force computed with each vertex's measure replaced by
+its stage restriction. Adding an exact 0.0 leaves a float sum unchanged,
+so every message stays a mat-vec on the one annulus graph of the scale.
 """
 
 from __future__ import annotations
@@ -152,17 +152,16 @@ def integral_peel(
     """Evaluate the integral by leaf elimination along the schedule.
 
     Unrestricted (good_chain=None) this reorganizes the brute-force sum
-    exactly. With a chain, stage sets gate every vertex's summation domain
-    as described in the module docstring; the chain must have depth >=
+    exactly. With a chain, vertex v integrates against mu with zero weight
+    off stage schedule.vertex_stages()[v]; the chain must have depth >=
     schedule.required_depth and matching parameters. graph is mu's annulus
-    graph at params, built when not given; each message is a mat-vec on the
-    rows and columns of its stages. Round j's pure stage field is the
-    chain's fields[j-1] when a chain is given.
+    graph at params, built when not given; every message is a mat-vec on
+    the whole of it, since the zero weights drop out of its sums exactly.
+    Messages stay products of fields and meet a weight only where used.
+    Round j's pure field is the chain's fields[j-1] when a chain is given,
+    else mu's field, computed once.
     """
     n = len(mu)
-    atoms = mu.atoms
-    w = mu.weights
-    all_ids = np.arange(n, dtype=np.int64)
     restricted = good_chain is not None
     if restricted:
         if good_chain.params != params:
@@ -173,69 +172,59 @@ def integral_peel(
             raise ValidationError(
                 f"chain depth {good_chain.depth} < required {schedule.required_depth}"
             )
-
     if graph is None:
-        graph = AnnulusGraph.build(atoms, params)
+        graph = AnnulusGraph.build(mu.atoms, params)
 
-    def stage_ids(s: int) -> np.ndarray:
-        if not restricted or s == 0:
-            return all_ids
-        return good_chain.stage_indices(s)
+    def field(values: np.ndarray) -> np.ndarray:
+        return annulus_sums(mu.atoms, values, mu.atoms, params, graph) * params.weight
 
-    # message[v][a]: product of eliminated-subtree factors with v at atom a
+    def on_stage(s: int, values: np.ndarray) -> np.ndarray:
+        """values, one per atom of stage s, placed on all atoms with zeros elsewhere."""
+        out = np.zeros(n)
+        out[good_chain.stage_indices(s)] = values
+        return out
+
+    stages = schedule.vertex_stages()
+    if restricted:
+        weights = {
+            v: on_stage(s, mu.weights[good_chain.stage_indices(s)]) for v, s in stages.items()
+        }
+    else:
+        weights = dict.fromkeys(stages, mu.weights)
+        pure = field(mu.weights)
+
+    # message[v][a]: product of eliminated-subtree factors with v at atom a;
+    # a vertex without one is still pristine (message == 1)
     messages: dict[int, np.ndarray] = {}
-    pristine: set[int] = set(range(schedule.tree.n_vertices))  # message still == 1
-
     stage_log: list[StageStats] = []
     for j, rnd in enumerate(schedule.rounds, start=1):
-        leaf_ids = stage_ids(j - 1)
-        eval_ids = stage_ids(j)
-        sources, queries = atoms[leaf_ids], atoms[eval_ids]
-        stage_graph = graph.subgraph(eval_ids, leaf_ids)
-
-        def field(values: np.ndarray) -> np.ndarray:
-            sums = annulus_sums(sources, values[leaf_ids], queries, params, stage_graph)
-            return sums * params.weight
-
-        # pure field of the stage measure (the chain's, over the same rows and
-        # columns, when restricted), shared by this round's factor log
-        pure = good_chain.fields[j - 1] if restricted else field(w)
+        # round j's pure field at stage j's atoms, and on all atoms (zero off
+        # stage j when restricted, as every host of round j has stage >= j)
+        at_stage = good_chain.fields[j - 1] if restricted else pure
+        if restricted:
+            pure = on_stage(j, at_stage)
         fmin, fmax = math.inf, -math.inf
         for host, mult in rnd.attachments:
-            powered = pure**mult
+            powered = at_stage**mult
             fmin = min(fmin, float(powered.min()))
             fmax = max(fmax, float(powered.max()))
         stage_log.append(StageStats(f"round{j}", fmin, fmax))
 
         for v, host in rnd.leaf_hosts:
-            contrib = pure if v in pristine else field(w * messages[v])
-            if host in pristine:
-                messages[host] = np.ones(n)
-                pristine.discard(host)
-            messages[host][eval_ids] *= contrib
-            messages.pop(v, None)
-
-    term = schedule.terminal
-    s1, s2 = term.j1, term.j2
-    if restricted and term.j1 == term.j2:
-        s2 += 1
-    ids1, ids2 = stage_ids(s1), stage_ids(s2)
-    sources, queries2 = atoms[ids1], atoms[ids2]
-    term_graph = graph.subgraph(ids2, ids1)
+            contrib = field(weights[v] * messages.pop(v)) if v in messages else pure
+            messages[host] = messages[host] * contrib if host in messages else contrib
 
     def vertex_values(v: int) -> np.ndarray:
-        if v in pristine:
-            return w
-        return w * messages[v]
+        return weights[v] * messages[v] if v in messages else weights[v]
 
-    inner = annulus_sums(sources, vertex_values(term.z1)[ids1], queries2, params, term_graph)
-    inner *= params.weight
-    pure_term = annulus_sums(sources, w[ids1], queries2, params, term_graph) * params.weight
+    term = schedule.terminal
+    rows = good_chain.stage_indices(stages[term.z2]) if restricted else slice(None)
+    inner = field(vertex_values(term.z1))
+    pure_term = field(weights[term.z1]) if restricted else pure
     stage_log.append(
-        StageStats("terminal", float(pure_term.min()), float(pure_term.max()))
+        StageStats("terminal", float(pure_term[rows].min()), float(pure_term[rows].max()))
     )
-    outer_vals = vertex_values(term.z2)[ids2]
-    value = math.fsum(inner * outer_vals)
+    value = math.fsum((inner * vertex_values(term.z2))[rows])
     return IntegralResult(value=value, method="peel", stage_log=stage_log, params=params)
 
 

@@ -9,6 +9,7 @@ formula, `pair_distance`. An `AnnulusGraph` holds the pairs that pass it
 at one scale as a sparse matrix (rows ascending, column indices sorted);
 fields, chain stages, peel messages and feasibility tables are mat-vecs on
 it, so every query accumulates its sources in ascending atom order.
+Restricting to a subset of atoms zeroes the weights off it; no graph is sliced.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ class AnnulusGraph:
         return cls(pairs, params)
 
     def within(self, params: KernelParams) -> "AnnulusGraph":
-        """The graph of a nested, no wider annulus, filtered from this one."""
+        """The graph of a nested, no wider annulus, filtered from this one (self if equal)."""
+        if params == self.params:
+            return self
         if params.inner < self.params.inner or params.outer > self.params.outer:
             raise ValidationError(
                 f"annulus [{params.inner}, {params.outer}] is not inside "
@@ -155,15 +158,6 @@ class AnnulusGraph:
             (d[inside], self.pairs.indices[inside], indptr), shape=self.pairs.shape
         )
         return AnnulusGraph(pairs, params)
-
-    def subgraph(self, rows: np.ndarray, cols: np.ndarray) -> "AnnulusGraph":
-        """Queries `rows` against sources `cols`, both ascending index arrays."""
-        pairs = self.pairs
-        if len(rows) < pairs.shape[0]:
-            pairs = pairs[rows]
-        if len(cols) < pairs.shape[1]:
-            pairs = pairs[:, cols]
-        return self if pairs is self.pairs else AnnulusGraph(pairs, self.params)
 
 
 def _annulus_pairs(queries, sources, params: KernelParams):

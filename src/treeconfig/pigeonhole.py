@@ -218,7 +218,8 @@ def nested_good_sets(
     selects inside it. Raises StageFailureError naming the stage when a
     restricted field has zero integral (t outside the viable range).
     graph is mu's annulus graph at params, built when not given; each
-    stage is a mat-vec on its kept rows and columns. field, when given, is
+    stage's field is a mat-vec on all of it with zero weight off the
+    previous stage, read at the stage's atoms. field, when given, is
     the stage-1 field convolve_field(mu, mu.atoms, params), used as is.
     """
     if depth < 1:
@@ -235,8 +236,11 @@ def nested_good_sets(
     f = field
     for j in range(1, depth + 1):
         if f is None:
-            kept = graph.subgraph(current_ids, current_ids)
-            f = convolve_field(current, current.atoms, params, kept)
+            weights = np.zeros(len(mu))
+            weights[current_ids] = current.weights
+            zeroed = replace(mu, weights=weights, total_mass=None)
+            full = convolve_field(zeroed, mu.atoms, params, graph)
+            f = FieldValues(full.values[current_ids], params)
         l1, _ = field_norms(f, current.weights)
         if l1 <= 0.0:
             raise StageFailureError(stage=j, t=params.t, eps=params.eps)

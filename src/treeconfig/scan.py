@@ -9,9 +9,10 @@ longest run of consecutive grid points where every ladder eps succeeded
 with a positive restricted integral; the observed extrema of the
 restricted integral over I x ladder are reported as the bound candidates.
 
-Scans are deterministic: fixed iteration order, seeded choices only, and
-CSV floats written as shortest round-trip decimals, so identical configs
-produce byte-identical outputs.
+Scans are deterministic: they make no random choices (the config's seed
+is only recorded), iterate in a fixed order and write CSV floats as
+shortest round-trip decimals, so identical configs produce byte-identical
+outputs.
 
 Each grid point computes its stage-1 field once: the scan takes the norms
 from it and hands it to the chain, and the chain keeps every stage's field
@@ -33,7 +34,7 @@ from .errors import (
     StageFailureError,
     ValidationError,
 )
-from .integrals import DEFAULT_TERM_CAP, IntegralResult, integral_peel
+from .integrals import IntegralResult, integral_peel
 from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms
 from .measures import DEFAULT_ATOM_CAP, AtomicMeasure, IFSSpec, build_ifs_measure
 from .pigeonhole import nested_good_sets
@@ -66,7 +67,6 @@ class ScanConfig:
     seed: int = 0
     out_dir: str = "scan_out"
     atom_cap: int = DEFAULT_ATOM_CAP
-    term_cap: int = DEFAULT_TERM_CAP
     node_budget: int = 10**7
 
     def __post_init__(self):

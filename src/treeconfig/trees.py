@@ -153,26 +153,20 @@ class PeelSchedule:
 
     @property
     def required_depth(self) -> int:
-        """Nested-stage depth the restricted integral needs.
+        """Nested-stage depth the restricted integral needs: the deepest vertex stage."""
+        return max(self.vertex_stages().values())
 
-        Hosts of round j are restricted at stage j; when the terminal
-        endpoints share a stage, the second one is pushed one stage deeper.
-        """
-        t = self.terminal
-        bump = t.j1 + 1 if t.j1 == t.j2 else t.j2
-        return max(self.n_rounds, bump)
+    def vertex_stages(self) -> dict[int, int]:
+        """Stage per original vertex: the last round it hosted, 0 if never.
 
-    def vertex_stages(self, bump_terminal: bool = False) -> dict[int, int]:
-        """Stage (last host round, 0 if never hosted) per original vertex.
-
-        With bump_terminal, the terminal z2 is moved one stage deeper when
-        both endpoints share a stage.
+        When both terminal endpoints share a stage, z2 is moved one stage
+        deeper. A leaf peeled in round j has stage j - 1.
         """
         stages = {v: 0 for v in range(self.tree.n_vertices)}
         for j, rnd in enumerate(self.rounds, start=1):
             for host, _ in rnd.attachments:
                 stages[host] = j
-        if bump_terminal and self.terminal.j1 == self.terminal.j2:
+        if self.terminal.j1 == self.terminal.j2:
             stages[self.terminal.z2] += 1
         return stages
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -55,18 +56,16 @@ def random_tree(n: int, rng: np.random.Generator) -> tc.TreeGraph:
 
 
 def naive_field(source: tc.AtomicMeasure, queries, params: tc.KernelParams):
-    """O(n*q) double-loop convolution; the spatial-index oracle."""
-    import math
+    """O(n*q) convolution, one query at a time with a per-row fsum; the graph's oracle.
 
-    queries = np.asarray(queries, dtype=float)
+    Uses kernel_weight's own predicate, pair_distance(q - a, 0.0) against the
+    closed annulus, vectorized over the source atoms.
+    """
     out = []
-    for q in queries:
-        out.append(
-            math.fsum(
-                w * tc.kernel_weight(q - a, params)
-                for a, w in zip(source.atoms, source.weights)
-            )
-        )
+    for q in np.asarray(queries, dtype=float):
+        r = tc.pair_distance(q - source.atoms, 0.0)
+        inside = (r >= params.inner) & (r <= params.outer)
+        out.append(math.fsum(np.where(inside, source.weights * params.weight, 0.0)))
     return np.array(out)
 
 

@@ -198,7 +198,7 @@ def test_restricted_peel_equals_per_vertex_restricted_oracle(seed):
     except tc.StageFailureError:
         pytest.skip("no viable field at this seed")
     restricted = tc.integral_peel(mu, sched, p, chain)
-    stages = sched.vertex_stages(bump_terminal=True)
+    stages = sched.vertex_stages()
     per_vertex = [
         tc.restrict_measure(mu, chain.stage_indices(stages[v]))
         for v in range(tree.n_vertices)
@@ -223,7 +223,7 @@ def test_restricted_peel_reuses_the_chain_fields(monkeypatch, cantor_small):
     assert len(calls) == 2  # the terminal pair only
     calls.clear()
     tc.integral_peel(cantor_small, sched, p)
-    assert len(calls) == 3  # the round's pure field, then the terminal pair
+    assert len(calls) == 2  # mu's field once, then the terminal's inner sum
     assert restricted.stage_log[0].factor_min == float(chain.fields[0].min())
 
 

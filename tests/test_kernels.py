@@ -158,9 +158,12 @@ def test_annulus_graph_matches_dense_predicate(d):
     narrower = tc.KernelParams(t=0.3, eps=0.05)
     rebuilt = tc.AnnulusGraph.build(atoms, narrower)
     assert (graph.within(narrower).pairs != rebuilt.pairs).nnz == 0
-    rows, cols = np.arange(0, 300, 3), np.arange(0, 300, 2)
-    sub = tc.AnnulusGraph.build(atoms[cols], p, queries=atoms[rows])
-    assert (graph.subgraph(rows, cols).pairs != sub.pairs).nnz == 0
+
+
+def test_within_the_same_annulus_is_the_graph_itself():
+    atoms = np.random.default_rng(6).random((30, 2))
+    graph = tc.AnnulusGraph.build(atoms, tc.KernelParams(0.5, 0.1))
+    assert graph.within(graph.params) is graph
 
 
 def test_annulus_graph_rejects_wider_annulus_and_foreign_points():

@@ -65,3 +65,37 @@ def test_peel_equals_oracle_on_lattices_up_to_the_caps(d, n_vertices):
         assert peel == pytest.approx(oracle, rel=1e-9, abs=0.0)
         tables = tc.feasibility_dp(mu, tree, params)
         tc.extract_embedding(tables, mu, tree, params, require_distinct=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_restricted_peel_equals_per_vertex_oracle_on_lattices(d):
+    # each vertex's measure restricted to its stage of the chain
+    rng = np.random.default_rng(1300 + d)
+    points = lattice_points(d)
+    depths = []
+    for i in range(60):
+        # every fourth tree is the 6-path, whose round-2 hosts absorb no
+        # pristine leaf: only their weights confine them to their stage
+        n_vertices = 6 if i % 4 == 0 else int(rng.integers(2, 7))
+        tree = tc.path_tree(5) if i % 4 == 0 else random_tree(n_vertices, rng)
+        n_atoms = int(rng.integers(2, (14 if n_vertices == 6 else 20) + 1))
+        mu = tc.AtomicMeasure(
+            d=d,
+            atoms=points[rng.choice(len(points), n_atoms, replace=False)],
+            weights=rng.random(n_atoms) + 0.01,
+        )
+        k = int(rng.integers(1, 11))  # t = k/10
+        params = tc.KernelParams(t=k / 10, eps=int(rng.integers(1, 2 * k)) / 20)
+        sched = tc.compute_peel_schedule(tree)
+        try:
+            chain = tc.nested_good_sets(mu, params, sched.required_depth)
+        except tc.StageFailureError:
+            continue
+        depths.append(chain.depth)
+        stages = sched.vertex_stages()
+        per_vertex = [tc.restrict_measure(mu, chain.stage_indices(stages[v])) for v in stages]
+        oracle = tc.integral_bruteforce(per_vertex, tree, params).value
+        peel = tc.integral_peel(mu, sched, params, chain).value
+        assert peel == pytest.approx(oracle, rel=1e-9, abs=0.0)
+    # most instances keep a chain, and some need three stages
+    assert len(depths) > 30 and max(depths) == 3

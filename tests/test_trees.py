@@ -82,7 +82,7 @@ def test_peel_dumbbell_shared_stage():
     assert s.rounds[0].attachments == ((0, 2), (1, 2))
     assert (s.terminal.j1, s.terminal.j2) == (1, 1)
     assert s.required_depth == 2  # coinciding stages push z2 one deeper
-    stages = s.vertex_stages(bump_terminal=True)
+    stages = s.vertex_stages()
     assert stages[s.terminal.z2] == 2 and stages[s.terminal.z1] == 1
 
 
