@@ -4,7 +4,7 @@ Given the field f = kernel * mu and a lower bound c on its integral, the
 good set keeps atoms with c/(4M) < f < 2^m for the minimal dyadic ceiling
 m = ceil(log2(16 C / c)). The Chebyshev level profile shows why the dyadic
 tail above 2^m cannot carry much integral, and the nested construction
-iterates the selection on the restricted measure.
+iterates the selection with zero weight off the previous stage.
 """
 
 import treeconfig as tc

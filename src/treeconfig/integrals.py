@@ -158,15 +158,16 @@ def integral_peel(
     graph at params, built when not given; every message is a mat-vec on
     the whole of it, since the zero weights drop out of its sums exactly.
     Messages stay products of fields and meet a weight only where used.
-    Round j's pure field is the chain's fields[j-1] when a chain is given,
-    else mu's field, computed once.
+    With a chain, vertex weights are good_chain.on_stage(stage, mu.weights),
+    and round j's pure field is the chain's fields[j-1] as stored (the
+    terminal's is that of z1's stage plus one); without one, it is mu's
+    field, computed once.
     """
-    n = len(mu)
     restricted = good_chain is not None
     if restricted:
         if good_chain.params != params:
             raise ValidationError("good-set chain was built with different parameters")
-        if good_chain.n_atoms != n:
+        if good_chain.n_atoms != len(mu):
             raise ValidationError("good-set chain belongs to a different measure")
         if good_chain.depth < schedule.required_depth:
             raise ValidationError(
@@ -178,17 +179,9 @@ def integral_peel(
     def field(values: np.ndarray) -> np.ndarray:
         return annulus_sums(mu.atoms, values, mu.atoms, params, graph) * params.weight
 
-    def on_stage(s: int, values: np.ndarray) -> np.ndarray:
-        """values, one per atom of stage s, placed on all atoms with zeros elsewhere."""
-        out = np.zeros(n)
-        out[good_chain.stage_indices(s)] = values
-        return out
-
     stages = schedule.vertex_stages()
     if restricted:
-        weights = {
-            v: on_stage(s, mu.weights[good_chain.stage_indices(s)]) for v, s in stages.items()
-        }
+        weights = {v: good_chain.on_stage(s, mu.weights) for v, s in stages.items()}
     else:
         weights = dict.fromkeys(stages, mu.weights)
         pure = field(mu.weights)
@@ -198,11 +191,13 @@ def integral_peel(
     messages: dict[int, np.ndarray] = {}
     stage_log: list[StageStats] = []
     for j, rnd in enumerate(schedule.rounds, start=1):
-        # round j's pure field at stage j's atoms, and on all atoms (zero off
-        # stage j when restricted, as every host of round j has stage >= j)
-        at_stage = good_chain.fields[j - 1] if restricted else pure
+        # round j's pure field; restricted, the chain's stage-j field, whose
+        # zeros off stage j drop nothing, as every host of round j has stage >= j
         if restricted:
-            pure = on_stage(j, at_stage)
+            pure = good_chain.fields[j - 1]
+            at_stage = pure[good_chain.stage_indices(j)]
+        else:
+            at_stage = pure
         fmin, fmax = math.inf, -math.inf
         for host, mult in rnd.attachments:
             powered = at_stage**mult
@@ -220,7 +215,8 @@ def integral_peel(
     term = schedule.terminal
     rows = good_chain.stage_indices(stages[term.z2]) if restricted else slice(None)
     inner = field(vertex_values(term.z1))
-    pure_term = field(weights[term.z1]) if restricted else pure
+    # z2's stage lies inside stage stages[z1] + 1, whose field the chain holds
+    pure_term = good_chain.fields[stages[term.z1]] if restricted else pure
     stage_log.append(
         StageStats("terminal", float(pure_term[rows].min()), float(pure_term[rows].max()))
     )

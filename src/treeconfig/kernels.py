@@ -5,11 +5,12 @@ The kernel is the normalized indicator of the closed annulus of radii
 field integrals differ by exact powers of (2*eps).
 
 Every decision "does this pair lie in the annulus" goes through one
-formula, `pair_distance`. An `AnnulusGraph` holds the pairs that pass it
-at one scale as a sparse matrix (rows ascending, column indices sorted);
-fields, chain stages, peel messages and feasibility tables are mat-vecs on
-it, so every query accumulates its sources in ascending atom order.
-Restricting to a subset of atoms zeroes the weights off it; no graph is sliced.
+formula, `pair_distance` (defined in `measures`, whose ball masses use it
+too). An `AnnulusGraph` holds the pairs that pass it at one scale as a
+sparse matrix (rows ascending, column indices sorted); fields, chain
+stages, peel messages and feasibility tables are mat-vecs on it, so every
+query accumulates its sources in ascending atom order. Restricting to a
+subset of atoms zeroes the weights off it; no graph is sliced.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import ResourceCapError, ValidationError
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, pair_distance
 
 # Candidate pairs one graph build may examine, which bounds the pairs it
 # stores: 4096^2, so a 4096-atom measure fits at every scale.
@@ -79,24 +80,6 @@ class FieldValues:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_csv(self) -> str:
-        lines = ["query_index,value"]
-        lines += [f"{i},{v!r}" for i, v in enumerate(map(float, self.values))]
-        return "\n".join(lines) + "\n"
-
-
-def pair_distance(a, b) -> np.ndarray:
-    """The library's one Euclidean distance, broadcast over leading axes.
-
-    sqrt of the squared direct coordinate differences, summed in coordinate
-    order. Symmetric by construction, since (a - b)^2 == (b - a)^2 exactly.
-    """
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    sq = diff[..., 0] * diff[..., 0]
-    for k in range(1, diff.shape[-1]):
-        sq = sq + diff[..., k] * diff[..., k]
-    return np.sqrt(sq)
 
 
 def kernel_weight(x, params: KernelParams) -> float:

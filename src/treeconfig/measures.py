@@ -4,7 +4,8 @@ A compact set of prescribed dimension is stood in for by the depth-L
 attractor of an iterated function system of similarities, carrying one
 weighted atom per length-L composition word. Ball masses, measure
 restriction, and an empirical mass-growth exponent (log-log fit of
-mu(B(x, r)) against r) are provided on top.
+mu(B(x, r)) against r) are provided on top. pair_distance, defined here,
+is the library's one Euclidean distance.
 
 Mass sums are accumulated with exact compensated summation (math.fsum) in
 fixed atom-index order, so totals reproduce to 1e-12 across platforms.
@@ -245,8 +246,21 @@ def build_ifs_measure(spec: IFSSpec, atom_cap: int = DEFAULT_ATOM_CAP) -> Atomic
     )
 
 
+def pair_distance(a, b) -> np.ndarray:
+    """The library's one Euclidean distance, broadcast over leading axes.
+
+    sqrt of the squared direct coordinate differences, summed in coordinate
+    order. Symmetric by construction, since (a - b)^2 == (b - a)^2 exactly.
+    """
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    sq = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        sq = sq + diff[..., k] * diff[..., k]
+    return np.sqrt(sq)
+
+
 def ball_mass(mu: AtomicMeasure, center, r: float) -> float:
-    """Mass of the closed ball B(center, r): sum of weights at distance <= r."""
+    """Mass of the closed ball B(center, r): sum of weights at pair_distance <= r."""
     center = np.asarray(center, dtype=float).reshape(-1)
     if center.shape != (mu.d,):
         raise ValidationError(f"center must have dimension {mu.d}")
@@ -254,7 +268,7 @@ def ball_mass(mu: AtomicMeasure, center, r: float) -> float:
         raise ValidationError("center must be finite")
     if not (r > 0):
         raise ValidationError("radius must be positive")
-    dist = np.linalg.norm(mu.atoms - center, axis=1)
+    dist = pair_distance(mu.atoms, center)
     return math.fsum(mu.weights[dist <= r])
 
 

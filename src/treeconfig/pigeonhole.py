@@ -15,8 +15,10 @@ is at least c/2, and since f < 2^m there, mu(G) >= c / 2^(m+1) = delta.
 These are finite-sum theorems, so the code asserts them outright on every
 call: a failure is a bug, never a tolerance issue.
 
-Iterating the construction on the restricted measure (weights unchanged)
-yields a nested chain of stages, each with its own certified delta.
+Iterating the construction, each time on mu with zero weight off the
+last stage and with the field zeroed there, yields a nested chain of
+stages, each with its own certified delta. A stage is one array per atom
+of mu with zeros off the stage, so every stage shares mu's atom ids.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, StageFailureError, ValidationError
 from .kernels import AnnulusGraph, FieldValues, KernelParams, convolve_field, field_norms
-from .measures import AtomicMeasure, restrict_measure
+from .measures import AtomicMeasure
 
 
 def _dyadic_level(values: np.ndarray) -> np.ndarray:
@@ -103,8 +105,8 @@ def chebyshev_profile(
 class GoodSet:
     """Atoms where the field is pinched in (c_low, 2^m), with certified mass.
 
-    indices are positions within the measure the field was sampled on;
-    nested chains remap them to the original measure's atom ids.
+    indices are the ascending positions of the kept atoms in the measure
+    the field was sampled on; in a nested chain, atom ids of mu.
     """
 
     stage: int
@@ -113,7 +115,6 @@ class GoodSet:
     m: int
     delta: float
     achieved_mass: float
-    l1_lower: float  # the certified lower bound c on the integral of f
 
     def __post_init__(self):
         if not (self.achieved_mass >= self.delta > 0):
@@ -171,21 +172,19 @@ def good_set(f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1) -> Goo
         m=m,
         delta=delta,
         achieved_mass=achieved,
-        l1_lower=c,
     )
 
 
 @dataclass
 class GoodSetChain:
-    """Nested stages G(1) ⊇ G(2) ⊇ ... with the restricted measures per stage.
+    """Nested stages G(1) ⊇ G(2) ⊇ ..., each stage a set of atom ids of one measure.
 
-    stages[j-1].indices are atom ids of the source measure; measures[j-1]
-    is the source restricted to them (weights unchanged); fields[j-1] is the
-    stage-j field (that of the stage-(j-1) measure) at those atoms.
+    stages[j-1].indices are atom ids of the source measure, ascending;
+    fields[j-1] is the stage-j field (that of the source with zero weight
+    off stage j-1), one value per atom, zero off stage j.
     """
 
     stages: list[GoodSet]
-    measures: list[AtomicMeasure]
     fields: list[np.ndarray]
     params: KernelParams
     n_atoms: int
@@ -200,6 +199,15 @@ class GoodSetChain:
             return np.arange(self.n_atoms, dtype=np.int64)
         return self.stages[s - 1].indices
 
+    def on_stage(self, s: int, values: np.ndarray) -> np.ndarray:
+        """values (one per atom) with zeros off stage s; values itself for s = 0."""
+        if s == 0:
+            return values
+        ids = self.stages[s - 1].indices
+        out = np.zeros(self.n_atoms)
+        out[ids] = values[ids]
+        return out
+
     def to_records(self) -> list[dict]:
         return [gs.to_record() for gs in self.stages]
 
@@ -213,14 +221,14 @@ def nested_good_sets(
 ) -> GoodSetChain:
     """Iterate good-set selection against the self-convolved field.
 
-    Stage 1 uses f = kernel * mu on the full measure with c = half the
-    measured integral; stage j+1 convolves the stage-j restriction and
-    selects inside it. Raises StageFailureError naming the stage when a
-    restricted field has zero integral (t outside the viable range).
-    graph is mu's annulus graph at params, built when not given; each
-    stage's field is a mat-vec on all of it with zero weight off the
-    previous stage, read at the stage's atoms. field, when given, is
-    the stage-1 field convolve_field(mu, mu.atoms, params), used as is.
+    Stage 1 uses f = kernel * mu with c = half the measured integral; stage
+    j convolves mu with zero weight off stage j-1, zeroes the field off
+    stage j-1, and selects against that staged measure, so no atom outside
+    stage j-1 is kept. Raises StageFailureError naming the stage when a
+    stage field has zero integral (t outside the viable range). graph is
+    mu's annulus graph at params, built when not given; every stage field
+    is a mat-vec on all of it. field, when given, is the stage-1 field
+    convolve_field(mu, mu.atoms, params), used as is.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
@@ -228,30 +236,17 @@ def nested_good_sets(
         raise ValidationError("stage-1 field was computed for other parameters or atoms")
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)
-    stages: list[GoodSet] = []
-    measures: list[AtomicMeasure] = []
-    fields: list[np.ndarray] = []
-    current = mu
-    current_ids = np.arange(len(mu), dtype=np.int64)
-    f = field
+    chain = GoodSetChain(stages=[], fields=[], params=params, n_atoms=len(mu))
+    staged = mu
+    f = field if field is not None else convolve_field(mu, mu.atoms, params, graph)
     for j in range(1, depth + 1):
-        if f is None:
-            weights = np.zeros(len(mu))
-            weights[current_ids] = current.weights
-            zeroed = replace(mu, weights=weights, total_mass=None)
-            full = convolve_field(zeroed, mu.atoms, params, graph)
-            f = FieldValues(full.values[current_ids], params)
-        l1, _ = field_norms(f, current.weights)
+        if j > 1:
+            staged = replace(mu, weights=chain.on_stage(j - 1, mu.weights), total_mass=None)
+            full = convolve_field(staged, mu.atoms, params, graph)
+            f = FieldValues(chain.on_stage(j - 1, full.values), params)
+        l1, _ = field_norms(f, staged.weights)
         if l1 <= 0.0:
             raise StageFailureError(stage=j, t=params.t, eps=params.eps)
-        gs = good_set(f, current, l1 / 2.0, stage=j)
-        fields.append(f.values[gs.indices])
-        original_ids = current_ids[gs.indices]
-        stages.append(replace(gs, indices=original_ids))
-        current = restrict_measure(mu, original_ids)
-        measures.append(current)
-        current_ids = original_ids
-        f = None
-    return GoodSetChain(
-        stages=stages, measures=measures, fields=fields, params=params, n_atoms=len(mu)
-    )
+        chain.stages.append(good_set(f, staged, l1 / 2.0, stage=j))
+        chain.fields.append(chain.on_stage(j, f.values))
+    return chain

@@ -15,8 +15,8 @@ shortest round-trip decimals, so identical configs produce byte-identical
 outputs.
 
 Each grid point computes its stage-1 field once: the scan takes the norms
-from it and hands it to the chain, and the chain keeps every stage's field
-on its kept atoms for the restricted integral's peel rounds.
+from it and hands it to the chain, and the chain keeps every stage's field,
+zero off its stage, for the restricted integral's peel rounds.
 """
 
 from __future__ import annotations

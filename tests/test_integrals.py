@@ -220,11 +220,28 @@ def test_restricted_peel_reuses_the_chain_fields(monkeypatch, cantor_small):
 
     monkeypatch.setattr("treeconfig.integrals.annulus_sums", counted)
     restricted = tc.integral_peel(cantor_small, sched, p, chain)
-    assert len(calls) == 2  # the terminal pair only
+    assert len(calls) == 1  # the terminal's inner sum only
     calls.clear()
     tc.integral_peel(cantor_small, sched, p)
     assert len(calls) == 2  # mu's field once, then the terminal's inner sum
-    assert restricted.stage_log[0].factor_min == float(chain.fields[0].min())
+    stage_min = chain.fields[0][chain.stage_indices(1)].min()
+    assert restricted.stage_log[0].factor_min == float(stage_min)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_restricted_terminal_log_is_the_field_of_z1s_stage(k, cantor_small):
+    # the terminal's pure field is that of mu restricted to z1's stage, read
+    # on z2's stage (path_tree(3) bumps z2 from z1's stage, path_tree(4) not);
+    # at this scale G(1) drops atoms, so the stage-1 and stage-2 fields differ
+    p = tc.KernelParams(t=0.45, eps=0.05)
+    sched = tc.compute_peel_schedule(tc.path_tree(k))
+    chain = tc.nested_good_sets(cantor_small, p, sched.required_depth)
+    stages, term = sched.vertex_stages(), sched.terminal
+    source = tc.restrict_measure(cantor_small, chain.stage_indices(stages[term.z1]))
+    rows = chain.stage_indices(stages[term.z2])
+    ref = tc.convolve_field(source, cantor_small.atoms[rows], p).values
+    log = tc.integral_peel(cantor_small, sched, p, chain).stage_log[-1]
+    assert (log.factor_min, log.factor_max) == (ref.min(), ref.max())
 
 
 def test_peel_rejects_mismatched_chain():

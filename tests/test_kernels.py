@@ -130,11 +130,6 @@ def test_field_values_validation():
         tc.FieldValues(values=np.array([np.inf]), params=p)
 
 
-def test_field_csv_export():
-    f = tc.FieldValues(values=np.array([0.5, 2.0]), params=tc.KernelParams(1.0, 0.1))
-    assert f.to_csv() == "query_index,value\n0,0.5\n1,2.0\n"
-
-
 def test_pair_distance_is_symmetric_and_direct():
     rng = np.random.default_rng(4)
     a, b = rng.random((50, 3)) * 1e3, rng.random((50, 3)) * 1e3

@@ -92,6 +92,16 @@ def test_ball_mass_depth3_cell(cantor_small):
     assert mass == pytest.approx(oracle, rel=1e-12)
 
 
+def test_ball_mass_boundary_follows_pair_distance_in_high_dimension():
+    # numpy's row norm sums 8 or more squares pairwise: for this atom it
+    # gives 1.6673332000533068, one ulp above its pair_distance from 0
+    atom = [0.3, 0.7, 0.1, 0.6, 0.4, 0.9, 0.2, 0.9, 0.1]
+    mu = tc.AtomicMeasure(d=9, atoms=[atom], weights=[1.0])
+    r = float(tc.pair_distance(np.array(atom), 0.0))
+    assert r == 1.6673332000533065
+    assert tc.ball_mass(mu, np.zeros(9), r) == 1.0
+
+
 def test_ball_mass_validation():
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0]], weights=[1.0])
     with pytest.raises(tc.ValidationError):

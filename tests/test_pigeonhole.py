@@ -114,33 +114,60 @@ def test_nested_two_atoms_keep_both_at_depth_two():
     chain = tc.nested_good_sets(mu, P, depth=2)
     assert list(chain.stages[0].indices) == [0, 1]
     assert list(chain.stages[1].indices) == [0, 1]
-    assert chain.measures[1].total_mass == 1.0
+    assert chain.stages[1].achieved_mass == 1.0
 
 
-def test_nested_chain_invariants(cantor_small):
-    p = tc.KernelParams(t=0.6, eps=0.06)
-    chain = tc.nested_good_sets(cantor_small, p, depth=3)
-    assert chain.depth == 3
-    prev = set(range(len(cantor_small)))
-    prev_mass = cantor_small.total_mass
-    for gs, m in zip(chain.stages, chain.measures):
+def _escaping_atom():
+    # Atom 100 (weight 0.01) sits at distance 1 from atoms 99 and 101, so
+    # its stage-1 field, 755, is above the ceiling 2^m = 512 and it leaves
+    # G(1). Atom 101 (weight 150, field 0.05) falls below the cutoff and
+    # leaves G(1) too, which drops atom 100's stage-2 field to 5, back
+    # inside the stage-2 range: only the zeroing of the field off G(1)
+    # keeps atom 100 out of G(2).
+    weights = [1.0] * 100 + [0.01, 150.0]
+    mu = tc.AtomicMeasure(d=1, atoms=np.arange(102.0).reshape(-1, 1), weights=weights)
+    return mu, tc.KernelParams(t=1.0, eps=0.1), 2
+
+
+@pytest.mark.parametrize("case", ["cantor_small", "escaping_atom"])
+def test_nested_chain_invariants(case, request):
+    if case == "cantor_small":
+        mu, p, depth = request.getfixturevalue(case), tc.KernelParams(t=0.6, eps=0.06), 3
+    else:
+        mu, p, depth = _escaping_atom()
+    chain = tc.nested_good_sets(mu, p, depth=depth)
+    assert chain.depth == depth
+    prev = set(range(len(mu)))
+    prev_mass = mu.total_mass
+    for gs in chain.stages:
         cur = set(int(i) for i in gs.indices)
         assert cur and cur <= prev
-        assert m.total_mass <= prev_mass + 1e-15
-        assert m.total_mass == pytest.approx(gs.achieved_mass, rel=1e-12)
+        mass = tc.restrict_measure(mu, gs.indices).total_mass
+        assert mass <= prev_mass + 1e-15
+        assert mass == gs.achieved_mass
         assert gs.achieved_mass >= gs.delta
-        prev, prev_mass = cur, m.total_mass
+        prev, prev_mass = cur, mass
 
 
 def test_chain_keeps_each_stage_field_at_its_atoms(cantor_small):
+    # reference: each stage selected on the previous stage's restricted
+    # measure, its positions remapped to atom ids
     p = tc.KernelParams(t=0.6, eps=0.06)
     chain = tc.nested_good_sets(cantor_small, p, depth=3)
     prev_ids = np.arange(len(cantor_small))
     for j in range(1, chain.depth + 1):
         prev = tc.restrict_measure(cantor_small, prev_ids)
-        ids = chain.stage_indices(j)
-        f = tc.convolve_field(prev, prev.atoms, p).values[np.searchsorted(prev_ids, ids)]
-        assert np.array_equal(chain.fields[j - 1], f)
+        f = tc.convolve_field(prev, prev.atoms, p)
+        l1, _ = tc.field_norms(f, prev.weights)
+        ref = tc.good_set(f, prev, l1 / 2, stage=j)
+        gs, ids = chain.stages[j - 1], chain.stage_indices(j)
+        assert np.array_equal(ids, prev_ids[ref.indices])
+        assert (gs.m, gs.c_low, gs.delta) == (ref.m, ref.c_low, ref.delta)
+        assert gs.achieved_mass == ref.achieved_mass
+        stored = chain.fields[j - 1]
+        assert stored.shape == (len(cantor_small),)
+        assert np.array_equal(stored[ids], f.values[ref.indices])
+        assert not np.any(np.delete(stored, ids))
         prev_ids = ids
 
 
