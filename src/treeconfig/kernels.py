@@ -10,7 +10,9 @@ too). An `AnnulusGraph` holds the pairs that pass it at one scale as a
 sparse matrix (rows ascending, column indices sorted); fields, chain
 stages, peel messages and feasibility tables are mat-vecs on it, so every
 query accumulates its sources in ascending atom order. Restricting to a
-subset of atoms zeroes the weights off it; no graph is sliced.
+subset of atoms zeroes the weights off it; no graph is sliced. A scan makes
+one k-d pass: `upper_pairs` keeps the pairs i < j from its smallest inner to
+its largest outer radius, and each scale's graph is an exact mask of them.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from scipy.spatial import cKDTree
 from .errors import ResourceCapError, ValidationError
 from .measures import AtomicMeasure, pair_distance
 
-# Candidate pairs one graph build may examine, which bounds the pairs it
-# stores: 4096^2, so a 4096-atom measure fits at every scale.
+# Candidate pairs one k-d pass (a graph build, or a scan's envelope) may
+# examine, which bounds the pairs it stores: 4096^2, so 4096 atoms always fit.
 DEFAULT_PAIR_CAP = 2**24
 
 # cKDTree rounds distances its own way; it searches a slightly larger ball
@@ -107,12 +109,7 @@ class AnnulusGraph:
         )
 
     @classmethod
-    def build(
-        cls,
-        sources,
-        params: KernelParams,
-        queries=None,
-    ) -> "AnnulusGraph":
+    def build(cls, sources, params: KernelParams, queries=None) -> "AnnulusGraph":
         """Graph of queries (default: the sources themselves) against sources."""
         sources = np.asarray(sources, dtype=float)
         queries = sources if queries is None else np.asarray(queries, dtype=float)
@@ -120,10 +117,17 @@ class AnnulusGraph:
             raise ValidationError(
                 f"dimension mismatch: source d={sources.shape[1]}, queries d={queries.shape[1]}"
             )
-        rows, cols, dist = _annulus_pairs(queries, sources, params)
-        shape = (len(queries), len(sources))
-        pairs = sparse.coo_matrix((dist, (rows, cols)), shape=shape).tocsr()
-        return cls(pairs, params)
+        return cls(_annulus_pairs(queries, sources, params.inner, params.outer), params)
+
+    @classmethod
+    def band(cls, upper: sparse.csr_matrix, params: KernelParams) -> "AnnulusGraph":
+        """build()'s graph of the atoms at params, masked from upper_pairs of a wider annulus.
+
+        Exact entry for entry: pair_distance is symmetric, inner > 0 keeps the
+        diagonal out, and the sum of two canonical CSRs is canonical.
+        """
+        u = _in_annulus(upper, params)
+        return cls((u + u.T).tocsr(), params)
 
     def within(self, params: KernelParams) -> "AnnulusGraph":
         """The graph of a nested, no wider annulus, filtered from this one (self if equal)."""
@@ -134,35 +138,49 @@ class AnnulusGraph:
                 f"annulus [{params.inner}, {params.outer}] is not inside "
                 f"[{self.params.inner}, {self.params.outer}]"
             )
-        d = self.pairs.data
-        inside = (d >= params.inner) & (d <= params.outer)
-        indptr = np.concatenate(([0], np.cumsum(inside)))[self.pairs.indptr]
-        pairs = sparse.csr_matrix(
-            (d[inside], self.pairs.indices[inside], indptr), shape=self.pairs.shape
-        )
-        return AnnulusGraph(pairs, params)
+        return AnnulusGraph(_in_annulus(self.pairs, params), params)
 
 
-def _annulus_pairs(queries, sources, params: KernelParams):
-    """(query, source, distance) arrays of the pairs in the annulus, in no order."""
-    radius = params.outer * (1.0 + _RADIUS_PAD)
+def _in_annulus(pairs: sparse.csr_matrix, params: KernelParams) -> sparse.csr_matrix:
+    """The stored pairs of a distance-valued CSR whose distance lies in the annulus."""
+    d = pairs.data
+    keep = np.flatnonzero((d >= params.inner) & (d <= params.outer))
+    kept = (d.take(keep), pairs.indices.take(keep), np.searchsorted(keep, pairs.indptr))
+    return sparse.csr_matrix(kept, shape=pairs.shape)
+
+
+def upper_pairs(points: np.ndarray, inner: float, outer: float) -> sparse.csr_matrix:
+    """Distance-valued CSR of the atom pairs i < j with inner <= pair_distance <= outer."""
+    return _annulus_pairs(points, points, inner, outer, upper=True)
+
+
+def _annulus_pairs(queries, sources, inner, outer, upper=False) -> sparse.csr_matrix:
+    """Distance-valued CSR of query-source pairs in [inner, outer]; upper: source id > query id."""
+    radius = outer * (1.0 + _RADIUS_PAD)
     source_tree, query_tree = cKDTree(sources), cKDTree(queries)
     candidates = int(query_tree.count_neighbors(source_tree, radius))
     if candidates > DEFAULT_PAIR_CAP:
         raise ResourceCapError(
             f"annulus graph needs {candidates} candidate pairs, over the cap of {DEFAULT_PAIR_CAP}"
         )
-    # blocks of queries in tree order are spatially compact
-    kept = []
-    for block in np.array_split(query_tree.indices, -(-candidates // _BLOCK_PAIRS) or 1):
-        found = cKDTree(queries[block]).sparse_distance_matrix(
-            source_tree, radius, output_type="ndarray"
-        )
-        r, c = block[found["i"]], found["j"]
-        d = pair_distance(np.take(queries, r, axis=0), np.take(sources, c, axis=0))
-        inside = (d >= params.inner) & (d <= params.outer)
-        kept.append((r[inside].astype(np.int32), c[inside].astype(np.int32), d[inside]))
-    return tuple(np.concatenate(part) for part in zip(*kept))
+    # blocks of contiguous query ids: each block's pairs, sorted, are its CSR rows
+    step = max(1, len(queries) * _BLOCK_PAIRS // max(candidates, 1))
+    counts, indices, data = [[0]], [np.empty(0, np.int32)], [np.empty(0)]
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        found = cKDTree(block).sparse_distance_matrix(source_tree, radius, output_type="ndarray")
+        r, c = found["i"], found["j"]
+        if upper:
+            above = c > r + start
+            r, c = r[above], c[above]
+        d = pair_distance(np.take(block, r, axis=0), np.take(sources, c, axis=0))
+        keep = np.flatnonzero((d >= inner) & (d <= outer))
+        keep = keep[np.argsort(r[keep] * len(sources) + c[keep])]
+        counts.append(np.bincount(r[keep], minlength=len(block)))
+        indices.append(c[keep].astype(np.int32))
+        data.append(d[keep])
+    kept = (np.concatenate(data), np.concatenate(indices), np.cumsum(np.concatenate(counts)))
+    return sparse.csr_matrix(kept, shape=(len(queries), len(sources)))
 
 
 def annulus_sums(

@@ -14,9 +14,12 @@ is only recorded), iterate in a fixed order and write CSV floats as
 shortest round-trip decimals, so identical configs produce byte-identical
 outputs.
 
-Each grid point computes its stage-1 field once: the scan takes the norms
-from it and hands it to the chain, and the chain keeps every stage's field,
-zero off its stage, for the restricted integral's peel rounds.
+The scan examines each candidate pair once: one k-d pass keeps the pairs
+from the t-grid's smallest eps0 inner radius to its largest outer one, and
+each t's graph is masked from them. Each grid point computes its stage-1
+field once: the scan takes the norms from it and hands it to the chain, and
+the chain keeps every stage's field, zero off its stage, for the restricted
+integral's peel rounds.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .embedding import extract_embedding, feasibility_dp
 from .errors import (
@@ -35,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .integrals import IntegralResult, integral_peel
-from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms
+from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms, upper_pairs
 from .measures import DEFAULT_ATOM_CAP, AtomicMeasure, IFSSpec, build_ifs_measure
 from .pigeonhole import nested_good_sets
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule
@@ -194,13 +198,16 @@ def _scan_one_t(
     tree: TreeGraph,
     schedule: PeelSchedule,
     depth: int,
+    envelope: sparse.csr_matrix | None,
 ) -> list[ScanRow]:
-    # The ladder's annuli are nested, so the graph of each eps is filtered
-    # from the last one built; only the first is built from the atoms.
+    # The eps0 graph is masked from the scan's envelope (None: over the pair
+    # cap); the ladder's annuli are nested, so each smaller eps filters the last.
     graph: AnnulusGraph | None = None
 
     def graph_at(params: KernelParams) -> AnnulusGraph:
-        return AnnulusGraph.build(mu.atoms, params) if graph is None else graph.within(params)
+        if graph is None and envelope is None:
+            raise ResourceCapError("the scan's annulus pairs exceed the pair cap")
+        return AnnulusGraph.band(envelope, params) if graph is None else graph.within(params)
 
     rows = []
     for eps in config.eps_ladder:
@@ -266,7 +273,12 @@ def scan_interval(
     depth = config.depth if config.depth is not None else schedule.required_depth
 
     t_values = config.t_values
-    per_t = [_scan_one_t(t, config, mu, tree, schedule, depth) for t in t_values]
+    annuli = [KernelParams(t=float(t), eps=float(config.eps0)) for t in t_values]
+    try:
+        envelope = upper_pairs(mu.atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
+    except ResourceCapError:
+        envelope = None
+    per_t = [_scan_one_t(t, config, mu, tree, schedule, depth, envelope) for t in t_values]
     rows = [row for group in per_t for row in group]
 
     ok_per_t = [all(r.succeeded for r in group) for group in per_t]

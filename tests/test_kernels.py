@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeconfig as tc
 from conftest import naive_field
+from treeconfig.kernels import upper_pairs
 
 
 def test_kernel_weight_center_and_outside():
@@ -176,3 +179,42 @@ def test_annulus_graph_pair_cap(monkeypatch):
     atoms = np.random.default_rng(6).random((100, 2))
     with pytest.raises(tc.ResourceCapError, match="cap of 50"):
         tc.AnnulusGraph.build(atoms, tc.KernelParams(t=0.5, eps=0.1))
+
+
+@st.composite
+def lattice_scans(draw):
+    """Lattice atoms, some duplicated, and the eps0 annuli of a 2-5 point t-grid."""
+    d = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.1, 0.125, 0.05]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.integers(0, 11, size=(n, d)) * step
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    atoms[dup] = atoms[rng.integers(0, n, size=dup.sum())]
+    k = draw(st.integers(2, 8))
+    config = tc.ScanConfig(
+        t_min=k * step,
+        t_max=(k + draw(st.integers(0, 8))) * step,
+        t_steps=draw(st.integers(2, 5)),
+        eps0=draw(st.integers(1, 2 * k - 1)) * step / 2,
+        halvings=0,
+    )
+    return atoms, [tc.KernelParams(t=float(t), eps=config.eps0) for t in config.t_values]
+
+
+@given(scan=lattice_scans())
+@settings(max_examples=120, deadline=None)
+def test_band_of_the_envelope_is_the_built_graph(scan):
+    # boundary distances, coincident atoms and scipy's sparse sum all meet
+    # here: each t's graph must be build()'s CSR entry for entry, since
+    # extraction walks pairs.indices in stored order
+    atoms, annuli = scan
+    envelope = upper_pairs(atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
+    rows = np.repeat(np.arange(len(atoms)), np.diff(envelope.indptr))
+    assert np.all(envelope.indices > rows)
+    for params in annuli:
+        band = tc.AnnulusGraph.band(envelope, params).pairs
+        built = tc.AnnulusGraph.build(atoms, params).pairs
+        assert np.array_equal(band.indptr, built.indptr)
+        assert np.array_equal(band.indices, built.indices)
+        assert np.array_equal(band.data, built.data)

@@ -4,6 +4,7 @@ import pytest
 
 import treeconfig as tc
 from treeconfig.cli import run_pipeline
+from treeconfig.kernels import upper_pairs
 from treeconfig.scan import CSV_HEADER
 
 
@@ -129,6 +130,81 @@ def test_scan_computes_each_stage_field_once(monkeypatch, pair_measure, pair_con
     assert set(statuses) == {"ok", "stage1_failure"}
     # one field per chain stage reached; the scan's own is the chain's stage 1
     assert len(calls) == sum(2 if s == "ok" else 1 for s in statuses)
+
+
+def test_scan_makes_one_distance_pass(monkeypatch, pair_measure):
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return upper_pairs(*args)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a scan masks its graphs from the envelope")
+
+    monkeypatch.setattr("treeconfig.scan.upper_pairs", counted)
+    monkeypatch.setattr(tc.AnnulusGraph, "build", no_build)
+    config = tc.ScanConfig(t_min=0.5, t_max=1.5, t_steps=5, eps0=0.25, halvings=2)
+    report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
+    assert len(passes) == 1
+    assert report.interval == (1.0, 1.0)
+    assert any(r.distinct_witness for r in report.rows)
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, in_annulus", [(0.5, 0.75, [False, True]), (1.25, 1.5, [True, False])]
+)
+def test_envelope_reaches_the_grid_edges(pair_measure, t_min, t_max, in_annulus):
+    # the pair's distance 1.0 is t_max + eps0, then t_min - eps0, exactly
+    config = tc.ScanConfig(t_min=t_min, t_max=t_max, t_steps=2, eps0=0.25, halvings=0)
+    report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
+    assert [r.l1 > 0 for r in report.rows] == in_annulus
+
+
+def test_envelope_over_the_pair_cap_caps_every_row(tmp_path, monkeypatch, pair_measure):
+    # the envelope's ball at t_max + eps0 holds all 4 ordered pairs; the
+    # smallest t's ball alone holds 2, so only the envelope is over the cap
+    monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", 3)
+    config = tc.ScanConfig(t_min=0.5, t_max=1.5, t_steps=5, eps0=0.25, halvings=2)
+    report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
+    assert len(report.rows) == 15
+    assert all(r.status == "cap_exceeded" for r in report.rows)
+    assert not any(r.homomorphism or r.distinct_witness for r in report.rows)
+    assert report.interval is None
+    mfile, tfile, cfile = tmp_path / "m.json", tmp_path / "t.json", tmp_path / "c.json"
+    pair_measure.save(mfile)
+    tc.path_tree(1).save(tfile)
+    config = config.to_dict()
+    config.update(measure_file=str(mfile), tree_file=str(tfile), out_dir=str(tmp_path / "out"))
+    cfile.write_text(json.dumps(config))
+    assert run_pipeline(["scan", "--config", str(cfile)]) == 4  # empty interval
+
+
+def test_grid_beyond_the_diameter_has_an_empty_envelope(tmp_path, monkeypatch, pair_measure):
+    envelopes = []
+
+    def kept(*args):
+        envelopes.append(upper_pairs(*args))
+        return envelopes[-1]
+
+    monkeypatch.setattr("treeconfig.scan.upper_pairs", kept)
+    config = tc.ScanConfig(t_min=2.0, t_max=3.0, t_steps=3, eps0=0.25, halvings=1)
+    report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
+    assert envelopes[0].nnz == 0
+    paths = tc.emit_report(report, tmp_path)
+    # byte for byte what the scan wrote before it had an envelope
+    assert paths["csv"].read_text().splitlines() == [
+        CSV_HEADER,
+        "2.0,0.25,0.0,0.0,,,false,false,stage1_failure",
+        "2.0,0.125,0.0,0.0,,,false,false,stage1_failure",
+        "2.5,0.25,0.0,0.0,,,false,false,stage1_failure",
+        "2.5,0.125,0.0,0.0,,,false,false,stage1_failure",
+        "3.0,0.25,0.0,0.0,,,false,false,stage1_failure",
+        "3.0,0.125,0.0,0.0,,,false,false,stage1_failure",
+    ]
+    assert json.loads(paths["interval"].read_text()) == {
+        "I_lo": None, "I_hi": None, "c_k": None, "C_k": None,
+    }
 
 
 def test_scan_loads_files(tmp_path, pair_measure):
