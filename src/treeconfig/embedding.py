@@ -4,8 +4,9 @@ Two atoms are adjacent at scale (t, eps) when their pair_distance lies in
 the closed interval [t - eps, t + eps]: the edges of the annulus graph.
 Feasibility tables (a bottom-up DP rooted at vertex 0, one mat-vec on the
 graph per tree edge) certify per vertex which atoms can host it in SOME
-homomorphism; a witness is then extracted top-down by backtracking over
-the tables and the graph's neighbour lists, with an explicit stack,
+homomorphism; a witness is then extracted top-down by backtracking with an
+explicit stack over the tables and per-atom neighbour lists, each cached as
+a Python list of ascending atom ids the first time its atom hosts a parent,
 enforcing injectivity when asked. Returned witnesses are always re-verified
 by direct distance recomputation, independent of the graph.
 """
@@ -156,27 +157,31 @@ def extract_embedding(
     Atoms are tried in ascending index order; with require_distinct a
     used-set rules out repeats. Returns the first witness, or a not-found
     result whose `exhausted` flag tells proven absence apart from a spent
-    node budget.
+    node budget; a spent budget reports exactly node_budget nodes visited.
     """
     if tables.tree != tree or tables.params != params or len(tables.feasible[0]) != len(mu):
         raise ValidationError("tables were built for a different instance")
+    if node_budget < 1:
+        raise ValidationError(f"node_budget must be >= 1, got {node_budget}")
+    # Python lists indexed by stack position, so visiting a node makes no numpy call
     order = tables.order
-    indptr, indices = tables.graph.pairs.indptr, tables.graph.pairs.indices
-    assignment: dict[int, int] = {}
-    used = np.zeros(len(mu), dtype=bool)
+    feasible = [tables.feasible[v].tolist() for v in order]
+    position = {v: pos for pos, v in enumerate(order)}
+    parent_pos = [position.get(tables.parent[v]) for v in order]
+    indptr, indices = tables.graph.pairs.indptr.tolist(), tables.graph.pairs.indices
+    neighbours: dict[int, list[int]] = {}  # atom -> ascending neighbour ids, once it hosts a parent
+    placed = [-1] * len(order)  # atom at each stack position, -1 while unplaced
+    used = bytearray(len(mu))  # marks the placed atoms when require_distinct
 
     def candidates(pos: int) -> list[int]:
-        v = order[pos]
-        p = tables.parent[v]
-        if p is None:
-            cand = np.flatnonzero(tables.feasible[v])
-        else:
-            a = assignment[p]
-            nb = indices[indptr[a] : indptr[a + 1]]
-            cand = nb[tables.feasible[v][nb]]
-        if require_distinct and cand.size:
-            cand = cand[~used[cand]]
-        return cand.tolist()
+        ok = feasible[pos]
+        if pos == 0:
+            return [a for a, good in enumerate(ok) if good]
+        a = placed[parent_pos[pos]]
+        nb = neighbours.get(a)
+        if nb is None:
+            nb = neighbours[a] = indices[indptr[a] : indptr[a + 1]].tolist()
+        return [b for b in nb if ok[b] and not used[b]]
 
     # stack[pos] iterates the candidates for order[pos], computed when the
     # search first reached pos; the top entry is the vertex being placed
@@ -185,30 +190,32 @@ def extract_embedding(
     budget_hit = False
     stack = [iter(candidates(0))]
     while stack:
-        v = order[len(stack) - 1]
-        if v in assignment:  # back from the subtree below: undo this choice
-            used[assignment.pop(v)] = False
+        pos = len(stack) - 1
+        if placed[pos] >= 0:  # back from the subtree below: undo this choice
+            used[placed[pos]] = 0
+            placed[pos] = -1
         atom = next(stack[-1], None)
         if atom is None:
             stack.pop()
             continue
-        nodes += 1
-        if nodes > node_budget:
+        if nodes == node_budget:
             budget_hit = True
             break
-        assignment[v] = atom
-        used[atom] = True
-        if len(stack) < len(order):
-            stack.append(iter(candidates(len(stack))))
+        nodes += 1
+        placed[pos] = atom
+        used[atom] = require_distinct
+        if pos + 1 < len(order):
+            stack.append(iter(candidates(pos + 1)))
             continue
+        assignment = dict(zip(order, placed))
         gaps = {
             (i, j): float(pair_distance(mu.atoms[assignment[i]], mu.atoms[assignment[j]]))
             for i, j in tree.edges
         }
         witness = EmbeddingWitness(
-            assignment=dict(assignment),
+            assignment=assignment,
             gaps=gaps,
-            distinct=len(set(assignment.values())) == len(assignment),
+            distinct=len(set(placed)) == len(placed),
             params=params,
         )
         break

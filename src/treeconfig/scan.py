@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .embedding import extract_embedding, feasibility_dp
+from .embedding import SearchResult, extract_embedding, feasibility_dp
 from .errors import (
     EmptyRestrictionError,
     ResourceCapError,
@@ -86,6 +86,8 @@ class ScanConfig:
             )
         if self.halvings < 0:
             raise ValidationError("halvings must be >= 0")
+        if self.node_budget < 1:
+            raise ValidationError(f"node_budget must be >= 1, got {self.node_budget}")
 
     @property
     def t_values(self) -> np.ndarray:
@@ -129,6 +131,8 @@ class ScanRow:
     integral: IntegralResult | None = None
     homomorphism: bool | None = None
     distinct_witness: bool | None = None
+    witness: str | None = None  # found | absent | budget_exhausted; None: search could not run
+    embed_nodes: int | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -154,6 +158,8 @@ class ScanRow:
             "bounds_witness": None if self.integral is None else self.integral.bounds_witness,
             "homomorphism": self.homomorphism,
             "distinct_witness": self.distinct_witness,
+            "witness": self.witness,
+            "embed_nodes": self.embed_nodes,
         }
 
 
@@ -236,21 +242,26 @@ def _scan_one_t(
     # consistency errors are bugs and propagate.
     min_eps = config.eps_ladder[-1]
     hom = distinct = False
+    witness = nodes = None
     try:
         params = KernelParams(t=float(t), eps=float(min_eps))
         tables = feasibility_dp(mu, tree, params, graph_at(params))
         hom = tables.root_feasible()
+        search = SearchResult(witness=None, exhausted=True, nodes_visited=0)
         if hom:
-            found = extract_embedding(
+            search = extract_embedding(
                 tables, mu, tree, params,
                 require_distinct=True, node_budget=config.node_budget,
             )
-            distinct = found.found
+        distinct = search.found
+        witness = "found" if distinct else "absent" if search.exhausted else "budget_exhausted"
+        nodes = search.nodes_visited
     except (ResourceCapError, ValidationError, EmptyRestrictionError, StageFailureError):
         pass
     for row in rows:
         row.homomorphism = hom
         row.distinct_witness = distinct
+        row.witness, row.embed_nodes = witness, nodes
     return rows
 
 

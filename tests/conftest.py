@@ -78,7 +78,7 @@ def exhaustive_injective(mu: tc.AtomicMeasure, tree: tc.TreeGraph, params) -> bo
     n = len(mu)
     adj = np.zeros((n, n), dtype=bool)
     for a in range(n):
-        d = np.linalg.norm(mu.atoms - mu.atoms[a], axis=1)
+        d = tc.pair_distance(mu.atoms, mu.atoms[a])
         adj[a] = (d >= params.inner) & (d <= params.outer)
     placed_edges = [
         [(i, j) for (i, j) in tree.edges if max(i, j) == v]

@@ -177,6 +177,17 @@ def test_invalid_params_exit_2(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_embed_budget_below_one_exits_2(workdir, budget, capsys):
+    _, _, measure, tree = workdir
+    code = run_pipeline(
+        ["embed", "--measure", str(measure), "--tree", str(tree),
+         "--t", "0.7", "--eps", "0.15", "--budget", budget]
+    )
+    assert code == 2
+    assert "node_budget must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "measure",
     [

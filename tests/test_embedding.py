@@ -61,9 +61,30 @@ def test_budget_exhaustion_is_distinguished():
     tables = tc.feasibility_dp(mu, star, P)
     tiny = tc.extract_embedding(tables, mu, star, P, node_budget=25)
     assert not tiny.found and not tiny.exhausted  # budget hit
+    assert tiny.nodes_visited == 25
     full = tc.extract_embedding(tables, mu, star, P, node_budget=10**6)
     assert not full.found and full.exhausted  # proven absent
     assert full.nodes_visited > tiny.nodes_visited
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_rejected(budget):
+    mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
+    tree = tc.path_tree(1)
+    tables = tc.feasibility_dp(mu, tree, P)
+    with pytest.raises(tc.ValidationError, match="node_budget"):
+        tc.extract_embedding(tables, mu, tree, P, node_budget=budget)
+
+
+def test_budget_of_one_places_only_the_root():
+    mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
+    tree = tc.path_tree(1)
+    tables = tc.feasibility_dp(mu, tree, P)
+    res = tc.extract_embedding(tables, mu, tree, P, node_budget=1)
+    assert (res.found, res.exhausted, res.nodes_visited) == (False, False, 1)
+    # a search that needs exactly its budget still finds its witness
+    res = tc.extract_embedding(tables, mu, tree, P, node_budget=2)
+    assert res.found and res.nodes_visited == 2
 
 
 def test_witness_soundness_random(cantor_small):

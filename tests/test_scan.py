@@ -30,6 +30,11 @@ def test_config_validation():
         tc.ScanConfig(t_min=0.5, eps0=0.6)
     with pytest.raises(tc.ValidationError):
         tc.ScanConfig.from_dict({"bogus_key": 1})
+    for budget in (0, -3):
+        with pytest.raises(tc.ValidationError, match="node_budget"):
+            tc.ScanConfig(node_budget=budget)
+        with pytest.raises(tc.ValidationError, match="node_budget"):
+            tc.ScanConfig.from_dict({"node_budget": budget})
 
 
 def test_pair_scan_detects_unit_interval(pair_measure, pair_config):
@@ -45,6 +50,23 @@ def test_pair_scan_detects_unit_interval(pair_measure, pair_config):
     # 0.8 passes at eps0=0.25 (gap 0.2 inside) but fails deeper in the ladder
     assert any(r.status == "ok" for r in by_t[0.8])
     assert not all(r.succeeded for r in by_t[0.8])
+
+
+def test_rows_say_why_there_is_no_witness(tmp_path, pair_measure, pair_config):
+    report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    by_t = {round(r.t, 9): r for r in report.rows}
+    assert (by_t[1.0].witness, by_t[1.0].embed_nodes) == ("found", 2)
+    # no homomorphism at t = 0.5: absent without a search node
+    assert (by_t[0.5].witness, by_t[0.5].embed_nodes) == ("absent", 0)
+    # a budget of one node places the root and stops
+    pair_config.node_budget = 1
+    report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    row = next(r for r in report.rows if round(r.t, 9) == 1.0)
+    assert (row.witness, row.embed_nodes, row.distinct_witness) == ("budget_exhausted", 1, False)
+    paths = tc.emit_report(report, tmp_path)
+    records = json.loads(paths["report"].read_text())["rows"]
+    assert {r["witness"] for r in records} == {"absent", "budget_exhausted"}
+    assert paths["csv"].read_text().splitlines()[0] == CSV_HEADER
 
 
 def test_rows_cover_full_grid(pair_measure, pair_config):
@@ -170,6 +192,7 @@ def test_envelope_over_the_pair_cap_caps_every_row(tmp_path, monkeypatch, pair_m
     assert len(report.rows) == 15
     assert all(r.status == "cap_exceeded" for r in report.rows)
     assert not any(r.homomorphism or r.distinct_witness for r in report.rows)
+    assert all(r.witness is None and r.embed_nodes is None for r in report.rows)
     assert report.interval is None
     mfile, tfile, cfile = tmp_path / "m.json", tmp_path / "t.json", tmp_path / "c.json"
     pair_measure.save(mfile)
@@ -260,3 +283,6 @@ def test_capped_search_reads_as_no_witness(monkeypatch, pair_measure, pair_confi
     report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
     assert any(r.homomorphism for r in report.rows)
     assert not any(r.distinct_witness for r in report.rows)
+    # the capped search has no outcome; a t without a homomorphism needs no search
+    assert {r.witness for r in report.rows if r.homomorphism} == {None}
+    assert {r.witness for r in report.rows if not r.homomorphism} == {"absent"}
