@@ -2,13 +2,16 @@
 
 Two atoms are adjacent at scale (t, eps) when their pair_distance lies in
 the closed interval [t - eps, t + eps]: the edges of the annulus graph.
-Feasibility tables (a bottom-up DP rooted at vertex 0, one mat-vec on the
-graph per tree edge) certify per vertex which atoms can host it in SOME
-homomorphism; a witness is then extracted top-down by backtracking with an
-explicit stack over the tables and per-atom neighbour lists, each cached as
-a Python list of ascending atom ids the first time its atom hosts a parent,
-enforcing injectivity when asked. Returned witnesses are always re-verified
-by direct distance recomputation, independent of the graph.
+Feasibility tables (a bottom-up DP rooted at vertex 0, mat-vecs on the
+graph) certify per vertex which atoms can host it in SOME homomorphism; host
+tables keep the atoms that also pass degree and counting bounds every
+injective embedding obeys (the local step of Matula's subtree-isomorphism
+DP), so absence is often proven with no search. A witness is then extracted
+top-down by backtracking with an explicit stack over the host tables (the
+feasibility tables when repeats are allowed) and per-atom neighbour lists,
+each cached as a Python list of ascending atom ids the first time its atom
+hosts a parent, enforcing injectivity when asked. Returned witnesses are
+always re-verified by direct distance recomputation, independent of the graph.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ class FeasibilityTables:
     """Per-vertex boolean atom tables from the bottom-up sweep.
 
     order is a BFS preorder from root 0 (parents precede children),
-    children lists ascending. graph is the annulus graph the tables were
-    computed on; extraction walks its neighbour lists.
+    children lists ascending. feasible holds the homomorphism tables and
+    hosts their injective-necessary subsets. graph is the annulus graph the
+    tables were computed on; extraction walks its neighbour lists.
     """
 
     tree: TreeGraph
@@ -40,6 +44,7 @@ class FeasibilityTables:
     parent: dict[int, int | None]
     children: dict[int, list[int]]
     feasible: dict[int, np.ndarray]
+    hosts: dict[int, np.ndarray]
     graph: AnnulusGraph
 
     def root_feasible(self) -> bool:
@@ -85,8 +90,11 @@ def feasibility_dp(
 
     Atom p is feasible for v iff every child u has a feasible atom within
     the annulus of p. The root table is non-empty iff the tree maps
-    homomorphically into the distance graph. graph is mu's annulus graph
-    at params, built when not given.
+    homomorphically into the distance graph. Atom p hosts v iff it is
+    feasible for v, its graph degree is at least v's tree degree, a
+    neighbour hosts each child, and (for 2+ children) as many neighbours
+    host some child as v has children: bounds every injective embedding
+    obeys. graph is mu's annulus graph at params, built when not given.
     """
     adj = tree.adjacency()
     order = [0]
@@ -106,13 +114,22 @@ def feasibility_dp(
 
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)
+
+    def reach(table: np.ndarray) -> np.ndarray:  # per atom, its neighbours in table
+        return annulus_sums(mu.atoms, table.astype(float), mu.atoms, params, graph)
+
+    degree = np.diff(graph.pairs.indptr)
     feasible = {v: np.ones(len(mu), dtype=bool) for v in range(tree.n_vertices)}
+    hosts = {}
     for v in reversed(order):
-        for u in children[v]:
-            reach = annulus_sums(
-                mu.atoms, feasible[u].astype(float), mu.atoms, params, graph
-            )
-            feasible[v] &= reach > 0.0
+        kids = children[v]
+        hosts[v] = degree >= len(kids) + (parent[v] is not None)
+        for u in kids:
+            feasible[v] &= reach(feasible[u]) > 0.0
+            hosts[v] &= reach(hosts[u]) > 0.0
+        hosts[v] &= feasible[v]
+        if len(kids) >= 2:
+            hosts[v] &= reach(np.logical_or.reduce([hosts[u] for u in kids])) >= len(kids)
     return FeasibilityTables(
         tree=tree,
         params=params,
@@ -120,6 +137,7 @@ def feasibility_dp(
         parent=parent,
         children=children,
         feasible=feasible,
+        hosts=hosts,
         graph=graph,
     )
 
@@ -152,20 +170,25 @@ def extract_embedding(
     require_distinct: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Top-down backtracking over the feasibility tables.
+    """Top-down backtracking over the hosts tables (feasible without require_distinct).
 
     Atoms are tried in ascending index order; with require_distinct a
-    used-set rules out repeats. Returns the first witness, or a not-found
-    result whose `exhausted` flag tells proven absence apart from a spent
-    node budget; a spent budget reports exactly node_budget nodes visited.
+    used-set rules out repeats. hosts prunes only dead branches, so the
+    witness is the one a walk of feasible would find first. Returns the
+    first witness, or a not-found result whose `exhausted` flag tells proven
+    absence apart from a spent node budget; a spent budget reports exactly
+    node_budget nodes visited.
     """
     if tables.tree != tree or tables.params != params or len(tables.feasible[0]) != len(mu):
         raise ValidationError("tables were built for a different instance")
     if node_budget < 1:
         raise ValidationError(f"node_budget must be >= 1, got {node_budget}")
+    tables_searched = tables.hosts if require_distinct else tables.feasible
+    if not tables_searched[0].any():
+        return SearchResult(witness=None, exhausted=True, nodes_visited=0)
     # Python lists indexed by stack position, so visiting a node makes no numpy call
     order = tables.order
-    feasible = [tables.feasible[v].tolist() for v in order]
+    allowed = [tables_searched[v].tolist() for v in order]
     position = {v: pos for pos, v in enumerate(order)}
     parent_pos = [position.get(tables.parent[v]) for v in order]
     indptr, indices = tables.graph.pairs.indptr.tolist(), tables.graph.pairs.indices
@@ -174,7 +197,7 @@ def extract_embedding(
     used = bytearray(len(mu))  # marks the placed atoms when require_distinct
 
     def candidates(pos: int) -> list[int]:
-        ok = feasible[pos]
+        ok = allowed[pos]
         if pos == 0:
             return [a for a, good in enumerate(ok) if good]
         a = placed[parent_pos[pos]]

@@ -275,6 +275,7 @@ def scan_interval(
     measure/tree may be passed directly (tests, library use); otherwise
     they are loaded from the files named in the config.
     """
+    config.__post_init__()  # recheck fields assigned since construction
     mu = measure if measure is not None else load_measure_for(config)
     if tree is None:
         if config.tree_file is None:

@@ -52,19 +52,21 @@ def test_extract_star_on_two_atoms():
 
 
 def test_budget_exhaustion_is_distinguished():
-    # 6 atoms on a circle of radius t around a center: the 7-leaf star is
-    # DP-feasible but injectively impossible, so the search must churn
+    # 6 atoms on a circle of radius t (a hexagon with side t) form a 6-cycle:
+    # every atom passes the host bounds of the 7-vertex path, which still
+    # cannot embed injectively, so the search must churn
     angles = np.linspace(0, 2 * np.pi, 6, endpoint=False)
-    atoms = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
-    mu = tc.AtomicMeasure(d=2, atoms=atoms, weights=np.full(7, 1 / 7))
-    star = tc.star_tree(7)
-    tables = tc.feasibility_dp(mu, star, P)
-    tiny = tc.extract_embedding(tables, mu, star, P, node_budget=25)
+    atoms = np.column_stack([np.cos(angles), np.sin(angles)])
+    mu = tc.AtomicMeasure(d=2, atoms=atoms, weights=np.full(6, 1 / 6))
+    path = tc.path_tree(6)
+    tables = tc.feasibility_dp(mu, path, P)
+    assert all(tables.hosts[v].all() for v in range(7))
+    tiny = tc.extract_embedding(tables, mu, path, P, node_budget=25)
     assert not tiny.found and not tiny.exhausted  # budget hit
     assert tiny.nodes_visited == 25
-    full = tc.extract_embedding(tables, mu, star, P, node_budget=10**6)
+    full = tc.extract_embedding(tables, mu, path, P, node_budget=10**6)
     assert not full.found and full.exhausted  # proven absent
-    assert full.nodes_visited > tiny.nodes_visited
+    assert full.nodes_visited == 66  # 6 roots, then 2 ways round with 5 nodes each
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -143,17 +145,23 @@ def test_extract_rejects_foreign_tables():
 
 
 def test_search_visits_atoms_in_ascending_order():
-    # the broom (path 0-4 plus four leaves on vertex 4) maps homomorphically
-    # into the 4-neighbour grid but never injectively; proving that takes
-    # 8817 nodes when candidates are tried in ascending atom order
-    broom = tc.validate_tree(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7), (4, 8)])
+    # a root with 4 children of 2 leaves each embeds injectively into the
+    # 4-neighbour grid, the root only on one of the 9 inner atoms; with the
+    # atoms shuffled, the first witness and the 2228 nodes it takes follow
+    # from trying candidates in ascending atom order
+    leaves = [(c, 3 + 2 * c + k) for c in range(1, 5) for k in range(2)]
+    tree = tc.validate_tree(13, [(0, c) for c in range(1, 5)] + leaves)
     grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
     atoms = 0.05 * grid[np.random.default_rng(3).permutation(len(grid))]
     mu = tc.AtomicMeasure(d=2, atoms=atoms, weights=np.full(25, 1 / 25))
     p = tc.KernelParams(t=0.05, eps=0.01)
-    res = tc.extract_embedding(tc.feasibility_dp(mu, broom, p), mu, broom, p)
-    assert not res.found and res.exhausted
-    assert res.nodes_visited == 8817
+    tables = tc.feasibility_dp(mu, tree, p)
+    assert np.flatnonzero(tables.hosts[0]).tolist() == [0, 1, 5, 8, 10, 11, 15, 17, 20]
+    res = tc.extract_embedding(tables, mu, tree, p)
+    assert res.found and res.nodes_visited == 2228
+    assert [res.witness.assignment[v] for v in range(13)] == [
+        1, 0, 5, 15, 20, 8, 18, 7, 10, 13, 17, 11, 14
+    ]
 
 
 def test_long_path_embeds_without_recursion():

@@ -69,6 +69,24 @@ def test_rows_say_why_there_is_no_witness(tmp_path, pair_measure, pair_config):
     assert paths["csv"].read_text().splitlines()[0] == CSV_HEADER
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_set_below_one_after_construction_is_rejected(
+    tmp_path, capsys, pair_measure, pair_config, budget
+):
+    pair_config.node_budget = budget
+    with pytest.raises(tc.ValidationError, match="node_budget"):
+        tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    mfile, tfile, cfile = tmp_path / "m.json", tmp_path / "t.json", tmp_path / "c.json"
+    pair_measure.save(mfile)
+    tc.path_tree(1).save(tfile)
+    config = pair_config.to_dict()
+    config.update(measure_file=str(mfile), tree_file=str(tfile), out_dir=str(tmp_path / "out"))
+    cfile.write_text(json.dumps(config))
+    assert run_pipeline(["scan", "--config", str(cfile)]) == 2
+    assert "node_budget must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rows_cover_full_grid(pair_measure, pair_config):
     report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
     assert len(report.rows) == 11 * 3

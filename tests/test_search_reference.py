@@ -3,8 +3,10 @@
 reference_search is the search as it stood with numpy candidate arrays
 (flatnonzero at the root, a boolean mask over the CSR neighbour slice below
 it, a used-array mask for injectivity), with the node count stopping at
-exactly node_budget. extract_embedding walks plain Python lists instead; it
-must visit the same nodes in the same order, so every outcome field agrees.
+exactly node_budget. extract_embedding walks plain Python lists instead; given
+the table it walks, it must visit the same nodes in the same order, so every
+outcome field agrees. Walking the host tables in place of the feasibility
+tables must lose no injective witness, change none and visit no more nodes.
 """
 
 import numpy as np
@@ -12,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeconfig as tc
-from conftest import pruefer_tree
+from conftest import exhaustive_injective, pruefer_tree
 
 
-def reference_search(tables, mu, require_distinct, node_budget):
-    """(assignment or None, exhausted, nodes_visited) of the numpy search."""
+def reference_search(tables, table, mu, require_distinct, node_budget):
+    """(assignment or None, exhausted, nodes_visited) of the numpy search over table."""
     order = tables.order
     indptr, indices = tables.graph.pairs.indptr, tables.graph.pairs.indices
     assignment = {}
@@ -26,11 +28,11 @@ def reference_search(tables, mu, require_distinct, node_budget):
         v = order[pos]
         p = tables.parent[v]
         if p is None:
-            cand = np.flatnonzero(tables.feasible[v])
+            cand = np.flatnonzero(table[v])
         else:
             a = assignment[p]
             nb = indices[indptr[a] : indptr[a + 1]]
-            cand = nb[tables.feasible[v][nb]]
+            cand = nb[table[v][nb]]
         if require_distinct and cand.size:
             cand = cand[~used[cand]]
         return cand.tolist()
@@ -78,14 +80,31 @@ def search_instances(draw):
 def test_search_matches_numpy_reference(instance):
     mu, tree, params = instance
     tables = tc.feasibility_dp(mu, tree, params)
-    for require_distinct in (True, False):
+    for require_distinct, table in ((True, tables.hosts), (False, tables.feasible)):
         for budget in (1, 7, 10**6):
             res = tc.extract_embedding(tables, mu, tree, params, require_distinct, budget)
-            assignment, exhausted, nodes = reference_search(tables, mu, require_distinct, budget)
+            assignment, exhausted, nodes = reference_search(
+                tables, table, mu, require_distinct, budget
+            )
             assert res.found == (assignment is not None)
             assert (res.witness and res.witness.assignment) == assignment
             assert res.exhausted == exhausted
             assert res.nodes_visited == nodes <= budget
+
+
+@given(instance=search_instances())
+@settings(max_examples=200, deadline=None)
+def test_host_tables_lose_no_witness(instance):
+    mu, tree, params = instance
+    tables = tc.feasibility_dp(mu, tree, params)
+    for v in range(tree.n_vertices):
+        assert not (tables.hosts[v] & ~tables.feasible[v]).any()
+    res = tc.extract_embedding(tables, mu, tree, params)
+    assert res.exhausted or res.found
+    assert res.found == exhaustive_injective(mu, tree, params)
+    assignment, _, nodes = reference_search(tables, tables.feasible, mu, True, 10**6)
+    assert (res.witness and res.witness.assignment) == assignment
+    assert res.nodes_visited <= nodes
 
 
 def lattice_broom_instance(seed: int):
@@ -101,12 +120,13 @@ def lattice_broom_instance(seed: int):
 
 def test_lattice_broom_proven_absent_in_44448_nodes():
     # the broom's degree-5 vertex has at most 4 lattice neighbours, so no
-    # injective embedding exists; the search proves it in the same number
-    # of nodes whatever the atom order
+    # injective embedding exists; a search of the feasibility tables proves
+    # it in the same number of nodes whatever the atom order, while the
+    # host tables rule out every atom for that vertex and need no search
     for seed in (0, 1, 2):
         mu, broom, p = lattice_broom_instance(seed)
         tables = tc.feasibility_dp(mu, broom, p)
+        assert tables.root_feasible() and not tables.hosts[4].any()
         res = tc.extract_embedding(tables, mu, broom, p)
-        assert not res.found and res.exhausted
-        assert res.nodes_visited == 44_448
-    assert reference_search(tables, mu, True, 10**7) == (None, True, 44_448)
+        assert (res.found, res.exhausted, res.nodes_visited) == (False, True, 0)
+        assert reference_search(tables, tables.feasible, mu, True, 10**7) == (None, True, 44_448)
