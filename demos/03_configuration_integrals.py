@@ -39,11 +39,12 @@ def main():
     big = tc.build_ifs_measure(product_cantor(0.47179, 5))
     print(f"\neps scaling of chain masses on {big.label}:")
     eps_ladder = [0.08 * 2.0**-i for i in range(5)]
+    # one annulus graph at the largest eps; each smaller eps filters the last
+    graphs = [tc.AnnulusGraph.build(big.atoms, tc.KernelParams(t=0.6, eps=eps_ladder[0]))]
+    for e in eps_ladder[1:]:
+        graphs.append(graphs[-1].within(tc.KernelParams(t=0.6, eps=e)))
     for k in (1, 2):
-        masses = [
-            tc.chain_neighborhood_mass(big, k, tc.KernelParams(t=0.6, eps=e))
-            for e in eps_ladder
-        ]
+        masses = [tc.chain_neighborhood_mass(big, k, g.params, g) for g in graphs]
         slope = np.polyfit(np.log(eps_ladder), np.log(masses), 1)[0]
         print(f"  k={k}: masses {[f'{m:.3e}' for m in masses]} -> slope {slope:.3f}")
 

@@ -23,13 +23,14 @@ def product_cantor(ratio, depth):
 def main():
     mu = tc.build_ifs_measure(product_cantor(0.47179, 5))
     params = tc.KernelParams(t=0.6, eps=0.01)
+    graph = tc.AnnulusGraph.build(mu.atoms, params)  # one graph serves every tree
 
     for name, tree in (
         ("path on 5", tc.path_tree(4)),
         ("star with 4 leaves", tc.star_tree(4)),
         ("spider", tc.validate_tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])),
     ):
-        tables = tc.feasibility_dp(mu, tree, params)
+        tables = tc.feasibility_dp(mu, tree, params, graph)
         feasible = [int(tables.feasible[v].sum()) for v in range(tree.n_vertices)]
         hosts = [int(tables.hosts[v].sum()) for v in range(tree.n_vertices)]
         res = tc.extract_embedding(tables, mu, tree, params, require_distinct=True)

@@ -224,14 +224,19 @@ def integral_peel(
     return IntegralResult(value=value, method="peel", stage_log=stage_log, params=params)
 
 
-def chain_neighborhood_mass(mu: AtomicMeasure, k: int, params: KernelParams) -> float:
+def chain_neighborhood_mass(
+    mu: AtomicMeasure, k: int, params: KernelParams, graph: AnnulusGraph | None = None
+) -> float:
     """Raw product-measure mass of the epsilon-thickened k-chain constraint set.
 
     Equals (2*eps)^k times the unrestricted peel integral on the k-chain:
-    every edge factor is the annulus indicator divided by 2*eps.
+    every edge factor is the annulus indicator divided by 2*eps. graph is
+    mu's annulus graph at params, built when not given; a caller scanning an
+    eps ladder builds one at its largest eps and filters it down with
+    `AnnulusGraph.within`.
     """
     if k < 1:
         raise ValidationError("chain length k must be >= 1")
     schedule = compute_peel_schedule(path_tree(k))
-    result = integral_peel(mu, schedule, params)
+    result = integral_peel(mu, schedule, params, graph=graph)
     return result.value * (2.0 * params.eps) ** k

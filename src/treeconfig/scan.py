@@ -15,11 +15,13 @@ shortest round-trip decimals, so identical configs produce byte-identical
 outputs.
 
 The scan examines each candidate pair once: one k-d pass keeps the pairs
-from the t-grid's smallest eps0 inner radius to its largest outer one, and
-each t's graph is masked from them. Each grid point computes its stage-1
-field once: the scan takes the norms from it and hands it to the chain, and
-the chain keeps every stage's field, zero off its stage, for the restricted
-integral's peel rounds.
+from the t-grid's smallest eps0 inner radius to its largest outer one, each
+t's eps0 graph is masked from them, and each smaller eps filters the graph
+of the one before (`AnnulusGraph.within`); the feasibility DP and the
+witness search run on the ladder's last graph. Each grid point computes its
+stage-1 field once: the scan takes the norms from it and hands it to the
+chain, and the chain keeps every stage's field, zero off its stage, for the
+restricted integral's peel rounds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .embedding import SearchResult, extract_embedding, feasibility_dp
+from .embedding import extract_embedding, feasibility_dp
 from .errors import (
     EmptyRestrictionError,
     ResourceCapError,
@@ -206,21 +208,18 @@ def _scan_one_t(
     depth: int,
     envelope: sparse.csr_matrix | None,
 ) -> list[ScanRow]:
-    # The eps0 graph is masked from the scan's envelope (None: over the pair
-    # cap); the ladder's annuli are nested, so each smaller eps filters the last.
-    graph: AnnulusGraph | None = None
-
-    def graph_at(params: KernelParams) -> AnnulusGraph:
-        if graph is None and envelope is None:
-            raise ResourceCapError("the scan's annulus pairs exceed the pair cap")
-        return AnnulusGraph.band(envelope, params) if graph is None else graph.within(params)
-
-    rows = []
-    for eps in config.eps_ladder:
-        row = ScanRow(t=float(t), eps=float(eps))
+    rows = [ScanRow(t=float(t), eps=float(eps)) for eps in config.eps_ladder]
+    if envelope is None:  # the scan's annulus pairs exceed the pair cap
+        for row in rows:
+            row.status, row.homomorphism, row.distinct_witness = "cap_exceeded", False, False
+        return rows
+    # The eps0 graph is masked from the envelope; the ladder's annuli are
+    # nested, so each smaller eps filters the last.
+    graph = AnnulusGraph.band(envelope, KernelParams(t=float(t), eps=float(config.eps0)))
+    for row in rows:
+        graph = graph.within(KernelParams(t=row.t, eps=row.eps))
+        params = graph.params
         try:
-            params = KernelParams(t=float(t), eps=float(eps))
-            graph = graph_at(params)
             f = convolve_field(mu, mu.atoms, params, graph)
             row.l1, row.l2sq = field_norms(f, mu.weights)
             chain = nested_good_sets(mu, params, depth, graph, f)
@@ -235,24 +234,19 @@ def _scan_one_t(
             # keep the status CSV-safe
             reason = str(exc).replace(",", ";").replace("\n", " ")
             row.status = f"invalid({reason})"
-        rows.append(row)
 
-    # embedding search once per t, at the smallest ladder eps; a witness at
-    # the smallest tolerance is a witness at every larger one. Internal
-    # consistency errors are bugs and propagate.
-    min_eps = config.eps_ladder[-1]
+    # embedding search once per t, on the ladder's last graph (the smallest
+    # eps); a witness at the smallest tolerance is a witness at every larger
+    # one. Internal consistency errors are bugs and propagate.
     hom = distinct = False
     witness = nodes = None
     try:
-        params = KernelParams(t=float(t), eps=float(min_eps))
-        tables = feasibility_dp(mu, tree, params, graph_at(params))
+        tables = feasibility_dp(mu, tree, graph.params, graph)
         hom = tables.root_feasible()
-        search = SearchResult(witness=None, exhausted=True, nodes_visited=0)
-        if hom:
-            search = extract_embedding(
-                tables, mu, tree, params,
-                require_distinct=True, node_budget=config.node_budget,
-            )
+        search = extract_embedding(
+            tables, mu, tree, graph.params,
+            require_distinct=True, node_budget=config.node_budget,
+        )
         distinct = search.found
         witness = "found" if distinct else "absent" if search.exhausted else "budget_exhausted"
         nodes = search.nodes_visited

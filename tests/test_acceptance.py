@@ -111,12 +111,13 @@ def test_criterion_3_chain_scaling(cantor_accept, path5_report, accept_config):
     start = time.monotonic()
     t_mid = _mid_interval(path5_report)
     eps_values = [accept_config.eps0 * 2.0**-i for i in range(5)]
+    # one graph at the largest eps, each smaller eps filtered from the last
+    graphs = [tc.AnnulusGraph.build(cantor_accept.atoms, tc.KernelParams(t_mid, eps_values[0]))]
+    for e in eps_values[1:]:
+        graphs.append(graphs[-1].within(tc.KernelParams(t_mid, e)))
     slopes = {}
     for k in (1, 2, 3):
-        masses = [
-            tc.chain_neighborhood_mass(cantor_accept, k, tc.KernelParams(t=t_mid, eps=e))
-            for e in eps_values
-        ]
+        masses = [tc.chain_neighborhood_mass(cantor_accept, k, g.params, g) for g in graphs]
         assert all(m > 0 for m in masses)
         slopes[k] = float(np.polyfit(np.log(eps_values), np.log(masses), 1)[0])
         assert slopes[k] >= k - 0.3
@@ -158,8 +159,9 @@ def test_criterion_5_embedding_existence(cantor_accept, path5_report, accept_con
         "star4leaf": tc.star_tree(4),
         "tree7": pruefer_tree(list(rng.integers(0, 7, size=5)), 7),
     }
+    graph = tc.AnnulusGraph.build(cantor_accept.atoms, params)
     for name, tree in trees.items():
-        tables = tc.feasibility_dp(cantor_accept, tree, params)
+        tables = tc.feasibility_dp(cantor_accept, tree, params, graph)
         res = tc.extract_embedding(tables, cantor_accept, tree, params, require_distinct=True)
         assert res.found, f"{name}: no witness at t={t_mid}, eps={eps_min}"
         # independent recheck of every realized gap and injectivity

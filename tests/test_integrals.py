@@ -305,10 +305,14 @@ def test_chain_mass_algebraic_relation():
     rng = np.random.default_rng(12)
     mu = tc.AtomicMeasure(d=2, atoms=rng.random((30, 2)), weights=rng.random(30))
     p = tc.KernelParams(t=0.5, eps=0.1)
+    # a graph filtered down from a wider annulus gives the same mass exactly
+    graph = tc.AnnulusGraph.build(mu.atoms, tc.KernelParams(t=0.5, eps=0.2)).within(p)
     for k in (1, 2, 3):
         sched = tc.compute_peel_schedule(tc.path_tree(k))
         expected = tc.integral_peel(mu, sched, p).value * (2 * p.eps) ** k
-        assert tc.chain_neighborhood_mass(mu, k, p) == pytest.approx(expected, rel=1e-12)
+        mass = tc.chain_neighborhood_mass(mu, k, p)
+        assert mass == pytest.approx(expected, rel=1e-12)
+        assert tc.chain_neighborhood_mass(mu, k, p, graph=graph) == mass
 
 
 def test_chain_mass_bounds_nondegenerate_tuples():

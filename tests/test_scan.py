@@ -191,6 +191,34 @@ def test_scan_makes_one_distance_pass(monkeypatch, pair_measure):
     assert any(r.distinct_witness for r in report.rows)
 
 
+def test_scan_walks_one_ladder_per_t(monkeypatch, pair_measure, pair_config):
+    bands, row_graphs, dp_graphs = [], [], []
+    band = tc.AnnulusGraph.band
+
+    def counted_band(cls, *args):
+        bands.append(args)
+        return band(*args)
+
+    def field_graph(mu, queries, params, graph):
+        row_graphs.append(graph)
+        return tc.convolve_field(mu, queries, params, graph)
+
+    def dp_graph(mu, tree, params, graph):
+        dp_graphs.append(graph)
+        return tc.feasibility_dp(mu, tree, params, graph)
+
+    monkeypatch.setattr(tc.AnnulusGraph, "band", classmethod(counted_band))
+    monkeypatch.setattr("treeconfig.scan.convolve_field", field_graph)
+    monkeypatch.setattr("treeconfig.scan.feasibility_dp", dp_graph)
+    tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
+    assert len(bands) == pair_config.t_steps
+    # the search runs on the very graph of the t's last ladder row
+    last_rows = row_graphs[len(pair_config.eps_ladder) - 1 :: len(pair_config.eps_ladder)]
+    assert len(dp_graphs) == len(last_rows) == pair_config.t_steps
+    assert all(dp is row for dp, row in zip(dp_graphs, last_rows))
+    assert {g.params.eps for g in dp_graphs} == {pair_config.eps_ladder[-1]}
+
+
 @pytest.mark.parametrize(
     "t_min, t_max, in_annulus", [(0.5, 0.75, [False, True]), (1.25, 1.5, [True, False])]
 )
@@ -297,10 +325,16 @@ def test_internal_error_in_search_is_not_a_missing_witness(
 
 
 def test_capped_search_reads_as_no_witness(monkeypatch, pair_measure, pair_config):
-    monkeypatch.setattr("treeconfig.scan.extract_embedding", _failing_search(tc.ResourceCapError))
+    def capped(tables, *args, **kwargs):
+        if tables.hosts[0].any():
+            raise tc.ResourceCapError("injected")
+        return tc.extract_embedding(tables, *args, **kwargs)
+
+    monkeypatch.setattr("treeconfig.scan.extract_embedding", capped)
     report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
     assert any(r.homomorphism for r in report.rows)
     assert not any(r.distinct_witness for r in report.rows)
-    # the capped search has no outcome; a t without a homomorphism needs no search
+    # the capped search has no outcome; a t without a homomorphism needs no search node
     assert {r.witness for r in report.rows if r.homomorphism} == {None}
-    assert {r.witness for r in report.rows if not r.homomorphism} == {"absent"}
+    no_hom = {(r.witness, r.embed_nodes) for r in report.rows if not r.homomorphism}
+    assert no_hom == {("absent", 0)}
