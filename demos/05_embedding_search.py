@@ -1,11 +1,13 @@
 """Embedding trees into the distance graph at tolerance eps.
 
 Atoms are vertices of a graph whose edges join pairs at distance within
-[t - eps, t + eps]. Bottom-up feasibility tables certify which atoms can
-host each tree vertex in a homomorphism; host tables keep those that also
-pass the degree and counting bounds of an injective embedding.
-Backtracking over the host tables extracts an injective witness, or proves
-there is none; an empty host table proves it without a search node.
+[t - eps, t + eps]. A tree folds onto any one edge, so the feasibility
+tables (atoms that can host a vertex in a homomorphism) are every atom for
+a leaf and every atom with a neighbour otherwise. Host tables, a bottom-up
+DP, keep the atoms that pass the degree and counting bounds of an
+injective embedding. Backtracking over the host tables extracts an
+injective witness, or proves there is none; an empty host table proves it
+without a search node.
 """
 
 import treeconfig as tc

@@ -1,17 +1,19 @@
 """Search for tree embeddings into the distance graph of an atomic measure.
 
 Two atoms are adjacent at scale (t, eps) when their pair_distance lies in
-the closed interval [t - eps, t + eps]: the edges of the annulus graph.
-Feasibility tables (a bottom-up DP rooted at vertex 0, mat-vecs on the
-graph) certify per vertex which atoms can host it in SOME homomorphism; host
-tables keep the atoms that also pass degree and counting bounds every
-injective embedding obeys (the local step of Matula's subtree-isomorphism
-DP), so absence is often proven with no search. A witness is then extracted
-top-down by backtracking with an explicit stack over the host tables (the
-feasibility tables when repeats are allowed) and per-atom neighbour lists,
-each cached as a Python list of ascending atom ids the first time its atom
-hosts a parent, enforcing injectivity when asked. Returned witnesses are
-always re-verified by direct distance recomputation, independent of the graph.
+the closed interval [t - eps, t + eps]: the edges of the annulus graph,
+symmetric like every AnnulusGraph of one point set. A tree is 2-colourable,
+so it folds onto any one edge (x, y, x, y, ...), and the feasibility tables
+(atoms that can host a vertex in SOME homomorphism) are read off the graph
+degree. Host tables, a bottom-up DP of mat-vecs on the graph, keep the atoms
+that pass degree and counting bounds every injective embedding obeys (the
+local step of Matula's subtree-isomorphism DP), so absence is often proven
+with no search. A witness is then extracted top-down by backtracking with an
+explicit stack over the host tables (the feasibility tables when repeats are
+allowed) and per-atom neighbour lists, each cached as a Python list of
+ascending atom ids the first time its atom hosts a parent, enforcing
+injectivity when asked. Returned witnesses are always re-verified by direct
+distance recomputation, independent of the graph.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ DEFAULT_NODE_BUDGET = 10**7
 
 @dataclass
 class FeasibilityTables:
-    """Per-vertex boolean atom tables from the bottom-up sweep.
+    """Per-vertex boolean atom tables, rooted at vertex 0.
 
     order is a BFS preorder from root 0 (parents precede children),
-    children lists ascending. feasible holds the homomorphism tables and
-    hosts their injective-necessary subsets. graph is the annulus graph the
-    tables were computed on; extraction walks its neighbour lists.
+    children lists ascending. feasible holds the homomorphism tables (closed
+    form) and hosts their injective-necessary subsets (bottom-up sweep).
+    graph is the annulus graph the tables were computed on; extraction walks
+    its neighbour lists.
     """
 
     tree: TreeGraph
@@ -48,7 +51,7 @@ class FeasibilityTables:
     graph: AnnulusGraph
 
     def root_feasible(self) -> bool:
-        """True iff a (not necessarily injective) homomorphism exists."""
+        """True iff a (not necessarily injective) homomorphism exists: one vertex, or a graph edge."""
         return bool(self.feasible[0].any())
 
 
@@ -86,15 +89,16 @@ def feasibility_dp(
     params: KernelParams,
     graph: AnnulusGraph | None = None,
 ) -> FeasibilityTables:
-    """Bottom-up atom feasibility per vertex, rooted at vertex 0.
+    """Per-vertex feasible and host atoms, rooted at vertex 0.
 
-    Atom p is feasible for v iff every child u has a feasible atom within
-    the annulus of p. The root table is non-empty iff the tree maps
-    homomorphically into the distance graph. Atom p hosts v iff it is
-    feasible for v, its graph degree is at least v's tree degree, a
-    neighbour hosts each child, and (for 2+ children) as many neighbours
-    host some child as v has children: bounds every injective embedding
-    obeys. graph is mu's annulus graph at params, built when not given.
+    Atom p is feasible for v iff v's subtree maps homomorphically into the
+    graph with v at p. The graph is symmetric, as every AnnulusGraph of one
+    point set is, so the subtree folds onto any edge at p: p is feasible iff
+    v is a leaf or p has a neighbour. Atom p hosts v iff its graph degree is
+    at least v's tree degree, a neighbour hosts each child, and (for 2+
+    children) as many neighbours host some child as v has children: bounds
+    every injective embedding obeys, one mat-vec per tree edge. graph is
+    mu's annulus graph at params, built when not given.
     """
     adj = tree.adjacency()
     order = [0]
@@ -119,15 +123,14 @@ def feasibility_dp(
         return annulus_sums(mu.atoms, table.astype(float), mu.atoms, params, graph)
 
     degree = np.diff(graph.pairs.indptr)
-    feasible = {v: np.ones(len(mu), dtype=bool) for v in range(tree.n_vertices)}
+    # v's subtree folds onto any edge (p, q) as p, q, p, q, ...
+    feasible = {v: degree >= (1 if kids else 0) for v, kids in children.items()}
     hosts = {}
     for v in reversed(order):
         kids = children[v]
         hosts[v] = degree >= len(kids) + (parent[v] is not None)
         for u in kids:
-            feasible[v] &= reach(feasible[u]) > 0.0
             hosts[v] &= reach(hosts[u]) > 0.0
-        hosts[v] &= feasible[v]
         if len(kids) >= 2:
             hosts[v] &= reach(np.logical_or.reduce([hosts[u] for u in kids])) >= len(kids)
     return FeasibilityTables(
@@ -152,7 +155,7 @@ def verify_witness(
     a = witness.assignment
     for i, j in tree.edges:
         gap = float(pair_distance(mu.atoms[a[i]], mu.atoms[a[j]]))
-        if not (witness.params.inner <= gap <= witness.params.outer):
+        if not witness.params.contains(gap):
             raise InternalConsistencyError(
                 f"edge ({i},{j}) realized gap {gap} outside the annulus"
             )

@@ -115,7 +115,7 @@ def integral_bruteforce(
     for i, j in map(sorted, tree.edges):
         a, b = mu_per_vertex[i].atoms, mu_per_vertex[j].atoms
         dist = pair_distance(a[:, None, :], b[None, :, :])
-        factors.append(((i, j), ((dist >= params.inner) & (dist <= params.outer)) * params.weight))
+        factors.append(((i, j), params.contains(dist) * params.weight))
 
     # The tail vertices s..k-1 span a dense block of at most _CHUNK tuples
     # and 31 axes (a block fits numpy's 32 dimensions); the prefix tuples

@@ -8,7 +8,7 @@ Every decision "does this pair lie in the annulus" goes through one
 formula, `pair_distance` (defined in `measures`, whose ball masses use it
 too). An `AnnulusGraph` holds the pairs that pass it at one scale as a
 sparse matrix (rows ascending, column indices sorted); fields, chain
-stages, peel messages and feasibility tables are mat-vecs on it, so every
+stages, peel messages and host tables are mat-vecs on it, so every
 query accumulates its sources in ascending atom order. Restricting to a
 subset of atoms zeroes the weights off it; no graph is sliced. A scan makes
 one k-d pass: `upper_pairs` keeps the pairs i < j from its smallest inner to
@@ -65,6 +65,10 @@ class KernelParams:
     def outer(self) -> float:
         return self.t + self.eps
 
+    def contains(self, d):
+        """Whether distance d lies in the closed annulus [inner, outer]; elementwise on arrays."""
+        return (d >= self.inner) & (d <= self.outer)
+
 
 @dataclass
 class FieldValues:
@@ -86,8 +90,7 @@ class FieldValues:
 
 def kernel_weight(x, params: KernelParams) -> float:
     """1/(2*eps) if |x| lies in the closed annulus [t-eps, t+eps], else 0."""
-    r = float(pair_distance(x, 0.0))
-    if params.inner <= r <= params.outer:
+    if params.contains(float(pair_distance(x, 0.0))):
         return params.weight
     return 0.0
 
@@ -144,7 +147,7 @@ class AnnulusGraph:
 def _in_annulus(pairs: sparse.csr_matrix, params: KernelParams) -> sparse.csr_matrix:
     """The stored pairs of a distance-valued CSR whose distance lies in the annulus."""
     d = pairs.data
-    keep = np.flatnonzero((d >= params.inner) & (d <= params.outer))
+    keep = np.flatnonzero(params.contains(d))
     kept = (d.take(keep), pairs.indices.take(keep), np.searchsorted(keep, pairs.indptr))
     return sparse.csr_matrix(kept, shape=pairs.shape)
 
@@ -193,7 +196,7 @@ def annulus_sums(
     """Per query q: sum of source_values over points in the annulus around q.
 
     The one mat-vec shared by field convolution, the integral recursion and
-    the embedding feasibility tables. graph, when the caller has it, is the
+    the embedding host tables. graph, when the caller has it, is the
     annulus graph of these queries against these sources at params;
     otherwise one is built.
     """

@@ -34,12 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .embedding import extract_embedding, feasibility_dp
-from .errors import (
-    EmptyRestrictionError,
-    ResourceCapError,
-    StageFailureError,
-    ValidationError,
-)
+from .errors import ResourceCapError, StageFailureError, ValidationError
 from .integrals import IntegralResult, integral_peel
 from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms, upper_pairs
 from .measures import DEFAULT_ATOM_CAP, AtomicMeasure, IFSSpec, build_ifs_measure
@@ -76,6 +71,9 @@ class ScanConfig:
     node_budget: int = 10**7
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "eps0"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not (self.t_min > 0):
             raise ValidationError(f"t_min must be positive, got {self.t_min}")
         if not (self.t_max >= self.t_min):
@@ -237,7 +235,7 @@ def _scan_one_t(
 
     # embedding search once per t, on the ladder's last graph (the smallest
     # eps); a witness at the smallest tolerance is a witness at every larger
-    # one. Internal consistency errors are bugs and propagate.
+    # one. A resource cap reads as no outcome; any other error is a bug and propagates.
     hom = distinct = False
     witness = nodes = None
     try:
@@ -250,7 +248,7 @@ def _scan_one_t(
         distinct = search.found
         witness = "found" if distinct else "absent" if search.exhausted else "budget_exhausted"
         nodes = search.nodes_visited
-    except (ResourceCapError, ValidationError, EmptyRestrictionError, StageFailureError):
+    except ResourceCapError:
         pass
     for row in rows:
         row.homomorphism = hom

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -236,3 +238,19 @@ def test_mistyped_scan_config_exits_2(workdir, bad, capsys):
     path.write_text(json.dumps(config))
     assert run_pipeline(["scan", "--config", str(path)]) == 2
     assert f"scan config {next(iter(bad))} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad", [{"t_max": math.inf}, {"t_min": math.inf, "t_max": math.inf}, {"eps0": math.inf}]
+)
+def test_infinite_scan_config_exits_2(workdir, bad, capsys):
+    tmp_path, _, measure, tree = workdir
+    config = {"measure_file": str(measure), "tree_file": str(tree), **bad}
+    path = tmp_path / "inf_scan.json"
+    path.write_text(json.dumps(config))
+    assert "Infinity" in path.read_text()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_pipeline(["scan", "--config", str(path)]) == 2
+    assert caught == []
+    assert f"{next(iter(bad))} must be finite" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,8 +126,11 @@ def test_found_agrees_with_exhaustive_oracle(seed):
     assert mine.found == exhaustive_injective(mu, tree, params)
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(20))
 def test_positive_integral_implies_homomorphism(seed):
+    # with positive weights every map's term is positive, so the brute-force
+    # integral is positive exactly when some homomorphism exists (seeds 11,
+    # 12 and 16 have none)
     rng = np.random.default_rng(300 + seed)
     n = int(rng.integers(2, 12))
     mu = tc.AtomicMeasure(d=2, atoms=rng.random((n, 2)), weights=rng.random(n) + 0.01)
@@ -133,8 +138,38 @@ def test_positive_integral_implies_homomorphism(seed):
     t = float(rng.uniform(0.2, 0.8))
     params = tc.KernelParams(t=t, eps=0.3 * t)
     value = tc.integral_bruteforce([mu] * tree.n_vertices, tree, params).value
-    if value > 0:
-        assert tc.feasibility_dp(mu, tree, params).root_feasible()
+    assert tc.feasibility_dp(mu, tree, params).root_feasible() == (value > 0)
+
+
+def _subtree_maps_with_root_at(tables, adjacent, v, p):
+    """Whether some map of v's subtree into the atoms, v at atom p, sends every edge to adjacent atoms."""
+    subtree = [v]
+    for u in subtree:  # grows while it is walked
+        subtree.extend(tables.children[u])
+    for atoms in itertools.product(range(len(adjacent)), repeat=len(subtree) - 1):
+        at = dict(zip(subtree, (p, *atoms)))
+        if all(adjacent[at[tables.parent[u]], at[u]] for u in subtree[1:]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_feasible_tables_match_enumerated_subtree_maps(seed):
+    # tiny 0.1-lattice instances, some with repeated atoms and boundary gaps:
+    # feasible[v][p] must say whether v's subtree maps with v at p
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(1, 7))
+    atoms = rng.integers(0, 4, size=(n, 2)) / 10
+    mu = tc.AtomicMeasure(d=2, atoms=atoms, weights=np.full(n, 1.0 / n))
+    tree = random_tree(int(rng.integers(2, 6)), rng)
+    k = int(rng.integers(1, 4))
+    params = tc.KernelParams(t=k / 10, eps=int(rng.integers(1, 2 * k)) / 20)
+    dist = tc.pair_distance(atoms[:, None, :], atoms[None, :, :])
+    adjacent = (params.inner <= dist) & (dist <= params.outer)
+    tables = tc.feasibility_dp(mu, tree, params)
+    for v in range(tree.n_vertices):
+        expected = [_subtree_maps_with_root_at(tables, adjacent, v, p) for p in range(n)]
+        assert tables.feasible[v].tolist() == expected
 
 
 def test_extract_rejects_foreign_tables():

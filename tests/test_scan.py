@@ -35,6 +35,9 @@ def test_config_validation():
             tc.ScanConfig(node_budget=budget)
         with pytest.raises(tc.ValidationError, match="node_budget"):
             tc.ScanConfig.from_dict({"node_budget": budget})
+    for name in ("t_min", "t_max", "eps0"):
+        with pytest.raises(tc.ValidationError, match=f"{name} must be finite"):
+            tc.ScanConfig(**{name: float("nan")})
 
 
 def test_pair_scan_detects_unit_interval(pair_measure, pair_config):
@@ -322,6 +325,14 @@ def test_internal_error_in_search_is_not_a_missing_witness(
     config.update(measure_file=str(mfile), tree_file=str(tfile), out_dir=str(tmp_path / "out"))
     cfile.write_text(json.dumps(config))
     assert run_pipeline(["scan", "--config", str(cfile)]) == 1
+
+
+def test_validation_error_in_search_is_not_a_missing_witness(monkeypatch, pair_measure, pair_config):
+    # the scan rechecks its config and hands the search the graph it built, so
+    # a ValidationError from the search is a bug, not an outcome
+    monkeypatch.setattr("treeconfig.scan.extract_embedding", _failing_search(tc.ValidationError))
+    with pytest.raises(tc.ValidationError, match="injected"):
+        tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
 
 
 def test_capped_search_reads_as_no_witness(monkeypatch, pair_measure, pair_config):
