@@ -22,7 +22,7 @@ def product_cantor(ratio, depth):
 def main():
     mu = tc.build_ifs_measure(product_cantor(0.47179, 5))
     params = tc.KernelParams(t=0.6, eps=0.02)
-    f = tc.convolve_field(mu, mu.atoms, params)
+    f = tc.convolve_field(mu, params)
     l1, l2sq = tc.field_norms(f, mu.weights)
     print(f"field on {len(mu)} atoms: integral {l1:.4f}, square integral {l2sq:.4f}")
 

@@ -6,10 +6,10 @@ field integrals differ by exact powers of (2*eps).
 
 Every decision "does this pair lie in the annulus" goes through one
 formula, `pair_distance` (defined in `measures`, whose ball masses use it
-too). An `AnnulusGraph` holds the pairs that pass it at one scale as a
-sparse matrix (rows ascending, column indices sorted); fields, chain
-stages, peel messages and host tables are mat-vecs on it, so every
-query accumulates its sources in ascending atom order. Restricting to a
+too). An `AnnulusGraph` holds the atom pairs that pass it at one scale as a
+symmetric sparse matrix (rows ascending, column indices sorted); fields,
+chain stages, peel messages and host tables are mat-vecs on it at the atoms
+they sum over, each accumulating in ascending atom order. Restricting to a
 subset of atoms zeroes the weights off it; no graph is sliced. A scan makes
 one k-d pass: `upper_pairs` keeps the pairs i < j from its smallest inner to
 its largest outer radius, and each scale's graph is an exact mask of them.
@@ -34,7 +34,7 @@ DEFAULT_PAIR_CAP = 2**24
 # cKDTree rounds distances its own way; it searches a slightly larger ball
 # and pair_distance alone decides membership.
 _RADIUS_PAD = 1e-9
-# Candidate pairs per query block, which bounds the build's temporary memory.
+# Candidate pairs per block of rows, which bounds the build's temporary memory.
 _BLOCK_PAIRS = 2**14
 
 
@@ -72,7 +72,7 @@ class KernelParams:
 
 @dataclass
 class FieldValues:
-    """Kernel-vs-measure convolution sampled at a query point list."""
+    """Kernel-vs-measure convolution sampled at the measure's own atoms."""
 
     values: np.ndarray
     params: KernelParams
@@ -96,11 +96,11 @@ def kernel_weight(x, params: KernelParams) -> float:
 
 
 class AnnulusGraph:
-    """Query-source pairs whose pair_distance lies in [params.inner, params.outer].
+    """Atom pairs whose pair_distance lies in [params.inner, params.outer].
 
-    pairs is a CSR matrix with one row per query and one column per source;
+    pairs is a symmetric CSR matrix with one row and one column per atom;
     its stored values are the pair distances. indicator shares that
-    structure with all values 1, so indicator @ w sums w over each query's
+    structure with all values 1, so indicator @ w sums w over each atom's
     annulus.
     """
 
@@ -112,15 +112,10 @@ class AnnulusGraph:
         )
 
     @classmethod
-    def build(cls, sources, params: KernelParams, queries=None) -> "AnnulusGraph":
-        """Graph of queries (default: the sources themselves) against sources."""
-        sources = np.asarray(sources, dtype=float)
-        queries = sources if queries is None else np.asarray(queries, dtype=float)
-        if queries.shape[1] != sources.shape[1]:
-            raise ValidationError(
-                f"dimension mismatch: source d={sources.shape[1]}, queries d={queries.shape[1]}"
-            )
-        return cls(_annulus_pairs(queries, sources, params.inner, params.outer), params)
+    def build(cls, points, params: KernelParams) -> "AnnulusGraph":
+        """Graph of the atoms at params, from one k-d pass over both triangles."""
+        points = np.asarray(points, dtype=float)
+        return cls(_annulus_pairs(points, params.inner, params.outer), params)
 
     @classmethod
     def band(cls, upper: sparse.csr_matrix, params: KernelParams) -> "AnnulusGraph":
@@ -154,36 +149,36 @@ def _in_annulus(pairs: sparse.csr_matrix, params: KernelParams) -> sparse.csr_ma
 
 def upper_pairs(points: np.ndarray, inner: float, outer: float) -> sparse.csr_matrix:
     """Distance-valued CSR of the atom pairs i < j with inner <= pair_distance <= outer."""
-    return _annulus_pairs(points, points, inner, outer, upper=True)
+    return _annulus_pairs(points, inner, outer, upper=True)
 
 
-def _annulus_pairs(queries, sources, inner, outer, upper=False) -> sparse.csr_matrix:
-    """Distance-valued CSR of query-source pairs in [inner, outer]; upper: source id > query id."""
+def _annulus_pairs(points, inner, outer, upper=False) -> sparse.csr_matrix:
+    """Distance-valued CSR of the atom pairs in [inner, outer]; upper: column id > row id."""
     radius = outer * (1.0 + _RADIUS_PAD)
-    source_tree, query_tree = cKDTree(sources), cKDTree(queries)
-    candidates = int(query_tree.count_neighbors(source_tree, radius))
+    tree = cKDTree(points)
+    candidates = int(tree.count_neighbors(tree, radius))
     if candidates > DEFAULT_PAIR_CAP:
         raise ResourceCapError(
             f"annulus graph needs {candidates} candidate pairs, over the cap of {DEFAULT_PAIR_CAP}"
         )
-    # blocks of contiguous query ids: each block's pairs, sorted, are its CSR rows
-    step = max(1, len(queries) * _BLOCK_PAIRS // max(candidates, 1))
+    # blocks of contiguous row ids: each block's pairs, sorted, are its CSR rows
+    step = max(1, len(points) * _BLOCK_PAIRS // max(candidates, 1))
     counts, indices, data = [[0]], [np.empty(0, np.int32)], [np.empty(0)]
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        found = cKDTree(block).sparse_distance_matrix(source_tree, radius, output_type="ndarray")
+    for start in range(0, len(points), step):
+        block = points[start : start + step]
+        found = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
         r, c = found["i"], found["j"]
         if upper:
             above = c > r + start
             r, c = r[above], c[above]
-        d = pair_distance(np.take(block, r, axis=0), np.take(sources, c, axis=0))
+        d = pair_distance(np.take(block, r, axis=0), np.take(points, c, axis=0))
         keep = np.flatnonzero((d >= inner) & (d <= outer))
-        keep = keep[np.argsort(r[keep] * len(sources) + c[keep])]
+        keep = keep[np.argsort(r[keep] * len(points) + c[keep])]
         counts.append(np.bincount(r[keep], minlength=len(block)))
         indices.append(c[keep].astype(np.int32))
         data.append(d[keep])
     kept = (np.concatenate(data), np.concatenate(indices), np.cumsum(np.concatenate(counts)))
-    return sparse.csr_matrix(kept, shape=(len(queries), len(sources)))
+    return sparse.csr_matrix(kept, shape=(len(points), len(points)))
 
 
 def annulus_sums(
@@ -191,40 +186,35 @@ def annulus_sums(
     source_values: np.ndarray,
     queries: np.ndarray,
     params: KernelParams,
-    graph: AnnulusGraph | None = None,
+    graph: AnnulusGraph,
 ) -> np.ndarray:
-    """Per query q: sum of source_values over points in the annulus around q.
+    """Per atom: sum of source_values over the atoms in its annulus.
 
     The one mat-vec shared by field convolution, the integral recursion and
-    the embedding host tables. graph, when the caller has it, is the
-    annulus graph of these queries against these sources at params;
-    otherwise one is built.
+    the embedding host tables. queries are the source atoms themselves, and
+    graph is their annulus graph at params.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if graph is None:
-        graph = AnnulusGraph.build(source_points, params, queries)
-    elif graph.params != params or graph.pairs.shape != (len(queries), len(source_points)):
+    if graph.params != params or graph.pairs.shape != (len(queries), len(source_points)):
         raise ValidationError("annulus graph was built for other points or parameters")
     return graph.indicator @ np.asarray(source_values, dtype=float)
 
 
 def convolve_field(
-    source: AtomicMeasure,
-    queries,
-    params: KernelParams,
-    graph: AnnulusGraph | None = None,
+    source: AtomicMeasure, params: KernelParams, graph: AnnulusGraph | None = None
 ) -> FieldValues:
-    """Field f(q) = sum_a weight_a * kernel(q - atom_a), a mat-vec on the annulus graph.
+    """Field f(a) = sum_b weight_b * kernel(a - atom_b) at each atom a of source.
 
-    Matches the naive double loop to 1e-12 relative; see the test suite's
-    oracle.
+    A mat-vec on source's annulus graph (built when not given). Matches the
+    naive double loop to 1e-12 relative; see the test suite's oracle.
     """
-    sums = annulus_sums(source.atoms, source.weights, queries, params, graph)
+    if graph is None:
+        graph = AnnulusGraph.build(source.atoms, params)
+    sums = annulus_sums(source.atoms, source.weights, source.atoms, params, graph)
     return FieldValues(values=sums * params.weight, params=params)
 
 
 def field_norms(f: FieldValues, weights_at_queries) -> tuple[float, float]:
-    """(integral of f, integral of f^2) against the query-point weights."""
+    """(integral of f, integral of f^2) against the weights of the atoms f is sampled at."""
     w = np.asarray(weights_at_queries, dtype=float)
     if w.shape != f.values.shape:
         raise ValidationError(

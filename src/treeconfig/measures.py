@@ -126,6 +126,8 @@ class AtomicMeasure:
     total_mass: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValidationError(f"dimension must be >= 1, got {self.d}")
         self.atoms = np.asarray(self.atoms, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.atoms.ndim == 1:
@@ -228,10 +230,10 @@ def build_ifs_measure(spec: IFSSpec, atom_cap: int = DEFAULT_ATOM_CAP) -> Atomic
     index block of size (#maps)^(L-j). Weight of a word is the product of
     its map probabilities; total mass is 1.
     """
-    n_atoms = len(spec.maps) ** spec.depth
-    if n_atoms > atom_cap:
+    # a depth over the cap is refused before k^depth is formed or looped over
+    if spec.depth > atom_cap or len(spec.maps) ** spec.depth > atom_cap:
         raise ResourceCapError(
-            f"IFS enumeration needs {n_atoms} atoms, over the cap of {atom_cap}"
+            f"IFS enumeration to depth {spec.depth} exceeds the cap of {atom_cap} atoms"
         )
     pos = np.zeros((1, spec.d))
     wts = np.ones(1)

@@ -228,7 +228,7 @@ def nested_good_sets(
     stage field has zero integral (t outside the viable range). graph is
     mu's annulus graph at params, built when not given; every stage field
     is a mat-vec on all of it. field, when given, is the stage-1 field
-    convolve_field(mu, mu.atoms, params), used as is.
+    convolve_field(mu, params), used as is.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
@@ -238,11 +238,11 @@ def nested_good_sets(
         graph = AnnulusGraph.build(mu.atoms, params)
     chain = GoodSetChain(stages=[], fields=[], params=params, n_atoms=len(mu))
     staged = mu
-    f = field if field is not None else convolve_field(mu, mu.atoms, params, graph)
+    f = field if field is not None else convolve_field(mu, params, graph)
     for j in range(1, depth + 1):
         if j > 1:
             staged = replace(mu, weights=chain.on_stage(j - 1, mu.weights), total_mass=None)
-            full = convolve_field(staged, mu.atoms, params, graph)
+            full = convolve_field(staged, params, graph)
             f = FieldValues(chain.on_stage(j - 1, full.values), params)
         l1, _ = field_norms(f, staged.weights)
         if l1 <= 0.0:

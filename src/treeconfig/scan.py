@@ -218,7 +218,7 @@ def _scan_one_t(
         graph = graph.within(KernelParams(t=row.t, eps=row.eps))
         params = graph.params
         try:
-            f = convolve_field(mu, mu.atoms, params, graph)
+            f = convolve_field(mu, params, graph)
             row.l1, row.l2sq = field_norms(f, mu.weights)
             chain = nested_good_sets(mu, params, depth, graph, f)
             row.stage_deltas = [gs.delta for gs in chain.stages]

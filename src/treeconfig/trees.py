@@ -76,7 +76,7 @@ def validate_tree(n_vertices: int, edges) -> TreeGraph:
     canon = []
     seen = set()
     for e in edges:
-        i, j = int(e[0]), int(e[1])
+        i, j = map(int, e)
         if i == j:
             raise ValidationError(f"self-loop at vertex {i}")
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):

@@ -93,7 +93,7 @@ def test_criterion_2_pigeonhole_guarantees(cantor_accept):
 
     # the real field at a mid-grid gap on the acceptance measure
     p = tc.KernelParams(t=0.6, eps=0.02)
-    f = tc.convolve_field(cantor_accept, cantor_accept.atoms, p)
+    f = tc.convolve_field(cantor_accept, p)
     l1, _ = tc.field_norms(f, cantor_accept.weights)
     check_good_set(f, cantor_accept, l1 / 2.0)
     check_profile(f, cantor_accept.weights, l1 / 4.0, 0)

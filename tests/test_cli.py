@@ -254,3 +254,45 @@ def test_infinite_scan_config_exits_2(workdir, bad, capsys):
         assert run_pipeline(["scan", "--config", str(path)]) == 2
     assert caught == []
     assert f"{next(iter(bad))} must be finite" in capsys.readouterr().err
+
+
+_ONE_MAP = [{"ratio": 0.5, "translation": [0.0]}]
+_TWO_MAPS = _ONE_MAP + [{"ratio": 0.5, "translation": [0.5]}]
+
+
+@pytest.mark.parametrize(
+    "kind, content, code",
+    [
+        ("measure", [], 2),
+        ("measure", None, 2),
+        ("measure", {"d": 1, "atoms": [[0.0]]}, 2),
+        ("measure", {"d": 0, "atoms": [[]], "weights": [1]}, 2),
+        ("tree", [], 2),
+        ("tree", None, 2),
+        ("tree", {"n": 2}, 2),
+        ("tree", {"n": 2, "edges": [[0]]}, 2),
+        ("tree", {"n": 2, "edges": "01"}, 2),
+        ("tree", {"n": 2, "edges": [[0, 1, 2]]}, 2),
+        ("ifs", [], 2),
+        ("ifs", None, 2),
+        ("ifs", {"d": 1, "depth": 1}, 2),
+        ("ifs", {"d": 1, "maps": _ONE_MAP, "depth": 10**12}, 3),
+        ("ifs", {"d": 1, "maps": _TWO_MAPS, "depth": 10**12}, 3),
+    ],
+)
+def test_malformed_file_is_a_typed_error(workdir, kind, content, code, capsys):
+    # every malformed file names its fault on one line, never as a traceback;
+    # the depth cap is refused before the IFS is enumerated
+    tmp_path, _, measure, tree = workdir
+    path = tmp_path / f"bad_{kind}.json"
+    path.write_text(json.dumps(content))
+    if kind == "ifs":
+        argv = ["generate", "--ifs", str(path), "--out", str(tmp_path / "m.json")]
+    else:
+        files = {"measure": str(measure), "tree": str(tree), kind: str(path)}
+        argv = ["embed", "--measure", files["measure"], "--tree", files["tree"],
+                "--t", "0.7", "--eps", "0.15"]
+    assert run_pipeline(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap:" if code == 3 else "invalid input:")
+    assert "Traceback" not in err

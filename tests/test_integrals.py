@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,9 +238,9 @@ def test_restricted_terminal_log_is_the_field_of_z1s_stage(k, cantor_small):
     sched = tc.compute_peel_schedule(tc.path_tree(k))
     chain = tc.nested_good_sets(cantor_small, p, sched.required_depth)
     stages, term = sched.vertex_stages(), sched.terminal
-    source = tc.restrict_measure(cantor_small, chain.stage_indices(stages[term.z1]))
-    rows = chain.stage_indices(stages[term.z2])
-    ref = tc.convolve_field(source, cantor_small.atoms[rows], p).values
+    weights = chain.on_stage(stages[term.z1], cantor_small.weights)
+    source = replace(cantor_small, weights=weights, total_mass=None)
+    ref = tc.convolve_field(source, p).values[chain.stage_indices(stages[term.z2])]
     log = tc.integral_peel(cantor_small, sched, p, chain).stage_log[-1]
     assert (log.factor_min, log.factor_max) == (ref.min(), ref.max())
 

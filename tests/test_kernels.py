@@ -38,55 +38,57 @@ def test_kernel_scaling_is_indicator(norm):
     assert tc.kernel_weight([norm], p) * 2 * p.eps in (0.0, 1.0)
 
 
+def _with_zero_weight_atoms(atoms, weights, extra) -> tc.AtomicMeasure:
+    """atoms with weights, plus the points extra as atoms of weight 0."""
+    extra = np.asarray(extra, dtype=float)
+    return tc.AtomicMeasure(
+        d=extra.shape[1],
+        atoms=np.concatenate([np.asarray(atoms, dtype=float), extra]),
+        weights=np.concatenate([weights, np.zeros(len(extra))]),
+    )
+
+
 def test_convolve_single_atom_at_gap():
-    src = tc.AtomicMeasure(d=2, atoms=[[0.0, 0.0]], weights=[1.0])
+    src = _with_zero_weight_atoms([[0.0, 0.0]], [1.0], [[1.0, 0.0]])
     p = tc.KernelParams(t=1.0, eps=0.1)
-    f = tc.convolve_field(src, [[1.0, 0.0]], p)
-    assert f.values[0] == pytest.approx(5.0)
+    f = tc.convolve_field(src, p)
+    assert f.values[1] == pytest.approx(5.0)
+    assert f.values[0] == 0.0  # the zero-weight atom adds nothing
 
 
 def test_convolve_two_atoms_partial_hit():
     # one atom at distance t (in), one at 3t (out), weights 1/2 each
-    src = tc.AtomicMeasure(d=1, atoms=[[1.0], [3.0]], weights=[0.5, 0.5])
+    src = _with_zero_weight_atoms([[1.0], [3.0]], [0.5, 0.5], [[0.0]])
     p = tc.KernelParams(t=1.0, eps=0.1)
-    f = tc.convolve_field(src, [[0.0]], p)
-    assert f.values[0] == pytest.approx(1.0 / (4 * p.eps))
+    f = tc.convolve_field(src, p)
+    assert f.values[2] == pytest.approx(1.0 / (4 * p.eps))
 
 
 @pytest.mark.parametrize("seed,n,q,d", [(0, 200, 50, 2), (1, 1000, 80, 2), (2, 2000, 60, 3)])
 def test_convolve_matches_naive_loop(seed, n, q, d):
+    # q off-support points ride along as zero-weight atoms
     rng = np.random.default_rng(seed)
-    src = tc.AtomicMeasure(d=d, atoms=rng.random((n, d)), weights=rng.random(n))
-    queries = rng.random((q, d))
+    src = _with_zero_weight_atoms(rng.random((n, d)), rng.random(n), rng.random((q, d)))
     p = tc.KernelParams(t=0.4, eps=0.07)
-    fast = tc.convolve_field(src, queries, p).values
-    slow = naive_field(src, queries, p)
+    fast = tc.convolve_field(src, p).values
+    slow = naive_field(src, src.atoms, p)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
 
 def test_convolve_cantor_matches_naive(cantor_small):
-    rng = np.random.default_rng(3)
-    queries = cantor_small.atoms[rng.integers(0, len(cantor_small), size=100)]
     p = tc.KernelParams(t=0.5, eps=0.05)
-    fast = tc.convolve_field(cantor_small, queries, p).values
-    slow = naive_field(cantor_small, queries, p)
+    fast = tc.convolve_field(cantor_small, p).values
+    slow = naive_field(cantor_small, cantor_small.atoms, p)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-15)
-
-
-def test_convolve_dimension_mismatch():
-    src = tc.AtomicMeasure(d=2, atoms=[[0.0, 0.0]], weights=[1.0])
-    with pytest.raises(tc.ValidationError, match="dimension"):
-        tc.convolve_field(src, [[1.0, 0.0, 0.0]], tc.KernelParams(t=1.0, eps=0.1))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_positivity_monotone_in_eps(seed):
     rng = np.random.default_rng(seed)
-    src = tc.AtomicMeasure(d=2, atoms=rng.random((80, 2)), weights=rng.random(80))
-    queries = rng.random((40, 2))
+    src = _with_zero_weight_atoms(rng.random((80, 2)), rng.random(80), rng.random((40, 2)))
     t = 0.5
-    small = tc.convolve_field(src, queries, tc.KernelParams(t=t, eps=0.05)).values
-    big = tc.convolve_field(src, queries, tc.KernelParams(t=t, eps=0.1)).values
+    small = tc.convolve_field(src, tc.KernelParams(t=t, eps=0.05)).values
+    big = tc.convolve_field(src, tc.KernelParams(t=t, eps=0.1)).values
     assert np.all((small > 0) <= (big > 0))
 
 
@@ -102,7 +104,7 @@ def test_field_norms_trivials():
 
 def test_field_norms_match_naive(cantor_small):
     p = tc.KernelParams(t=0.6, eps=0.06)
-    f = tc.convolve_field(cantor_small, cantor_small.atoms, p)
+    f = tc.convolve_field(cantor_small, p)
     l1, l2 = tc.field_norms(f, cantor_small.weights)
     slow = naive_field(cantor_small, cantor_small.atoms, p)
     assert l1 == pytest.approx(math.fsum(cantor_small.weights * slow), rel=1e-12)
@@ -120,7 +122,7 @@ def test_cauchy_schwarz_on_computed_fields(seed):
     rng = np.random.default_rng(seed)
     src = tc.AtomicMeasure(d=2, atoms=rng.random((60, 2)), weights=rng.random(60))
     p = tc.KernelParams(t=0.4, eps=0.08)
-    f = tc.convolve_field(src, src.atoms, p)
+    f = tc.convolve_field(src, p)
     l1, l2sq = tc.field_norms(f, src.weights)
     assert l1 <= math.sqrt(l2sq * src.total_mass) * (1 + 1e-12)
 

@@ -101,7 +101,7 @@ def test_good_set_preconditions():
 def test_nested_depth_one_equals_good_set():
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
     chain = tc.nested_good_sets(mu, P, depth=1)
-    f = tc.convolve_field(mu, mu.atoms, P)
+    f = tc.convolve_field(mu, P)
     l1, _ = tc.field_norms(f, mu.weights)
     direct = tc.good_set(f, mu, l1 / 2)
     assert list(chain.stages[0].indices) == list(direct.indices)
@@ -157,7 +157,7 @@ def test_chain_keeps_each_stage_field_at_its_atoms(cantor_small):
     prev_ids = np.arange(len(cantor_small))
     for j in range(1, chain.depth + 1):
         prev = tc.restrict_measure(cantor_small, prev_ids)
-        f = tc.convolve_field(prev, prev.atoms, p)
+        f = tc.convolve_field(prev, p)
         l1, _ = tc.field_norms(f, prev.weights)
         ref = tc.good_set(f, prev, l1 / 2, stage=j)
         gs, ids = chain.stages[j - 1], chain.stage_indices(j)
@@ -173,12 +173,12 @@ def test_chain_keeps_each_stage_field_at_its_atoms(cantor_small):
 
 def test_handed_in_field_is_used_and_checked(cantor_small):
     p = tc.KernelParams(t=0.6, eps=0.06)
-    f = tc.convolve_field(cantor_small, cantor_small.atoms, p)
+    f = tc.convolve_field(cantor_small, p)
     chain = tc.nested_good_sets(cantor_small, p, depth=2, field=f)
     plain = tc.nested_good_sets(cantor_small, p, depth=2)
     for a, b in zip(chain.fields, plain.fields):
         assert np.array_equal(a, b)
-    other = tc.convolve_field(cantor_small, cantor_small.atoms, tc.KernelParams(t=0.6, eps=0.05))
+    other = tc.convolve_field(cantor_small, tc.KernelParams(t=0.6, eps=0.05))
     with pytest.raises(tc.ValidationError, match="stage-1 field"):
         tc.nested_good_sets(cantor_small, p, depth=1, field=other)
     short = tc.FieldValues(values=f.values[:-1], params=p)

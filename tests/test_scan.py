@@ -202,9 +202,9 @@ def test_scan_walks_one_ladder_per_t(monkeypatch, pair_measure, pair_config):
         bands.append(args)
         return band(*args)
 
-    def field_graph(mu, queries, params, graph):
+    def field_graph(mu, params, graph):
         row_graphs.append(graph)
-        return tc.convolve_field(mu, queries, params, graph)
+        return tc.convolve_field(mu, params, graph)
 
     def dp_graph(mu, tree, params, graph):
         dp_graphs.append(graph)
