@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .embedding import extract_embedding, feasibility_dp
+from .embedding import DEFAULT_NODE_BUDGET, extract_embedding, feasibility_dp
 from .errors import (
     EmptyRestrictionError,
     ResourceCapError,
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--t", type=float, required=True)
     e.add_argument("--eps", type=float, required=True)
     e.add_argument("--allow-repeats", action="store_true")
-    e.add_argument("--budget", type=int, default=10**7)
+    e.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_embed)
 

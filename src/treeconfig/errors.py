@@ -39,7 +39,7 @@ class StageFailureError(TreeConfigError):
         )
 
 
-class DegenerateRadiiError(TreeConfigError):
+class DegenerateRadiiError(ValidationError):
     """Every sampled ball was empty at some radius; try larger radii."""
 
 

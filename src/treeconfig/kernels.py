@@ -40,7 +40,7 @@ _BLOCK_PAIRS = 2**14
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Gap length t and half-thickness eps, 0 < eps < t."""
+    """Gap length t and half-thickness eps, 0 < eps < t, with t - eps < t < t + eps."""
 
     t: float
     eps: float
@@ -52,6 +52,8 @@ class KernelParams:
             raise ValidationError(
                 f"annulus must not reach the origin: eps={self.eps} >= t={self.t}"
             )
+        if not (self.inner < self.t < self.outer):
+            raise ValidationError(f"eps={self.eps} is below the rounding unit of t={self.t}")
 
     @property
     def weight(self) -> float:

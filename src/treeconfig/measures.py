@@ -123,7 +123,7 @@ class AtomicMeasure:
     atoms: np.ndarray
     weights: np.ndarray
     label: str = ""
-    total_mass: float = field(default=None)  # type: ignore[assignment]
+    total_mass: float = field(init=False)  # sum of weights
 
     def __post_init__(self):
         if self.d < 1:
@@ -145,13 +145,7 @@ class AtomicMeasure:
             raise ValidationError("atom coordinates must be finite")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValidationError("weights must be finite and nonnegative")
-        computed = math.fsum(self.weights)
-        if self.total_mass is None:
-            self.total_mass = computed
-        elif abs(self.total_mass - computed) > 1e-12 * max(abs(computed), 1.0):
-            raise ValidationError(
-                f"total_mass {self.total_mass} != sum of weights {computed}"
-            )
+        self.total_mass = math.fsum(self.weights)
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -150,7 +150,9 @@ def good_set(f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1) -> Goo
     total = mu.total_mass
     c_sq = math.fsum(products * f.values)
     c_prime = c / (4.0 * total)
-    m = math.ceil(math.log2(16.0 * c_sq / c))
+    if not math.isfinite(ratio := 16.0 * c_sq / c):
+        raise ValidationError(f"field too large for a dyadic ceiling: 16 C / c = {ratio}")
+    m = math.ceil(math.log2(ratio))
     ceiling = 2.0**m
     kept = (f.values > c_prime) & (f.values < ceiling)
 
@@ -241,7 +243,7 @@ def nested_good_sets(
     f = field if field is not None else convolve_field(mu, params, graph)
     for j in range(1, depth + 1):
         if j > 1:
-            staged = replace(mu, weights=chain.on_stage(j - 1, mu.weights), total_mass=None)
+            staged = replace(mu, weights=chain.on_stage(j - 1, mu.weights))
             full = convolve_field(staged, params, graph)
             f = FieldValues(chain.on_stage(j - 1, full.values), params)
         l1, _ = field_norms(f, staged.weights)

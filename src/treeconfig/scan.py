@@ -22,18 +22,23 @@ witness search run on the ladder's last graph. Each grid point computes its
 stage-1 field once: the scan takes the norms from it and hands it to the
 chain, and the chain keeps every stage's field, zero off its stage, for the
 restricted integral's peel rounds.
+
+A row's status is `ok`, `stage<j>_failure` (pigeonhole stage j kept no
+mass) or `cap_exceeded` (the scan's pairs exceed the pair cap); any other
+error stops the scan.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .embedding import extract_embedding, feasibility_dp
+from .embedding import DEFAULT_NODE_BUDGET, extract_embedding, feasibility_dp
 from .errors import ResourceCapError, StageFailureError, ValidationError
 from .integrals import IntegralResult, integral_peel
 from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms, upper_pairs
@@ -64,11 +69,10 @@ class ScanConfig:
     t_steps: int = 11
     eps0: float = 0.1
     halvings: int = 4
-    depth: int | None = None  # default: what the peel schedule requires
     seed: int = 0
     out_dir: str = "scan_out"
     atom_cap: int = DEFAULT_ATOM_CAP
-    node_budget: int = 10**7
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         for name in ("t_min", "t_max", "eps0"):
@@ -86,6 +90,7 @@ class ScanConfig:
             )
         if self.halvings < 0:
             raise ValidationError("halvings must be >= 0")
+        KernelParams(t=self.t_max, eps=math.ldexp(self.eps0, -self.halvings))  # thinnest annulus
         if self.node_budget < 1:
             raise ValidationError(f"node_budget must be >= 1, got {self.node_budget}")
 
@@ -131,7 +136,7 @@ class ScanRow:
     integral: IntegralResult | None = None
     homomorphism: bool | None = None
     distinct_witness: bool | None = None
-    witness: str | None = None  # found | absent | budget_exhausted; None: search could not run
+    witness: str | None = None  # found | absent | budget_exhausted; None: over the pair cap
     embed_nodes: int | None = None
 
     @property
@@ -203,7 +208,6 @@ def _scan_one_t(
     mu: AtomicMeasure,
     tree: TreeGraph,
     schedule: PeelSchedule,
-    depth: int,
     envelope: sparse.csr_matrix | None,
 ) -> list[ScanRow]:
     rows = [ScanRow(t=float(t), eps=float(eps)) for eps in config.eps_ladder]
@@ -220,40 +224,27 @@ def _scan_one_t(
         try:
             f = convolve_field(mu, params, graph)
             row.l1, row.l2sq = field_norms(f, mu.weights)
-            chain = nested_good_sets(mu, params, depth, graph, f)
+            chain = nested_good_sets(mu, params, schedule.required_depth, graph, f)
             row.stage_deltas = [gs.delta for gs in chain.stages]
             row.delta_min = min(row.stage_deltas)
             row.integral = integral_peel(mu, schedule, params, chain, graph)
         except StageFailureError as exc:
             row.status = f"stage{exc.stage}_failure"
-        except ResourceCapError:
-            row.status = "cap_exceeded"
-        except ValidationError as exc:
-            # keep the status CSV-safe
-            reason = str(exc).replace(",", ";").replace("\n", " ")
-            row.status = f"invalid({reason})"
 
     # embedding search once per t, on the ladder's last graph (the smallest
     # eps); a witness at the smallest tolerance is a witness at every larger
-    # one. A resource cap reads as no outcome; any other error is a bug and propagates.
-    hom = distinct = False
-    witness = nodes = None
-    try:
-        tables = feasibility_dp(mu, tree, graph.params, graph)
-        hom = tables.root_feasible()
-        search = extract_embedding(
-            tables, mu, tree, graph.params,
-            require_distinct=True, node_budget=config.node_budget,
-        )
-        distinct = search.found
-        witness = "found" if distinct else "absent" if search.exhausted else "budget_exhausted"
-        nodes = search.nodes_visited
-    except ResourceCapError:
-        pass
+    # one. Both calls are handed the graph, so neither builds one, and any
+    # error they raise propagates.
+    tables = feasibility_dp(mu, tree, graph.params, graph)
+    hom = tables.root_feasible()
+    search = extract_embedding(
+        tables, mu, tree, graph.params,
+        require_distinct=True, node_budget=config.node_budget,
+    )
+    witness = "found" if search.found else "absent" if search.exhausted else "budget_exhausted"
     for row in rows:
-        row.homomorphism = hom
-        row.distinct_witness = distinct
-        row.witness, row.embed_nodes = witness, nodes
+        row.homomorphism, row.distinct_witness = hom, search.found
+        row.witness, row.embed_nodes = witness, search.nodes_visited
     return rows
 
 
@@ -274,7 +265,6 @@ def scan_interval(
             raise ValidationError("no tree given: set tree_file or pass tree=")
         tree = TreeGraph.load(config.tree_file)
     schedule = compute_peel_schedule(tree)
-    depth = config.depth if config.depth is not None else schedule.required_depth
 
     t_values = config.t_values
     annuli = [KernelParams(t=float(t), eps=float(config.eps0)) for t in t_values]
@@ -282,7 +272,7 @@ def scan_interval(
         envelope = upper_pairs(mu.atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
     except ResourceCapError:
         envelope = None
-    per_t = [_scan_one_t(t, config, mu, tree, schedule, depth, envelope) for t in t_values]
+    per_t = [_scan_one_t(t, config, mu, tree, schedule, envelope) for t in t_values]
     rows = [row for group in per_t for row in group]
 
     ok_per_t = [all(r.succeeded for r in group) for group in per_t]
@@ -315,7 +305,7 @@ def scan_interval(
         C_k=C_k,
         measure_label=mu.label,
         tree_label=f"tree[n={tree.n_vertices}]",
-        depth=depth,
+        depth=schedule.required_depth,
     )
 
 

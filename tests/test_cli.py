@@ -296,3 +296,40 @@ def test_malformed_file_is_a_typed_error(workdir, kind, content, code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource cap:" if code == 3 else "invalid input:")
     assert "Traceback" not in err
+
+
+_THREE_ATOMS = {"d": 1, "atoms": [[0.0], [0.5], [1.0]], "weights": [0.3333, 0.3333, 0.3334]}
+
+
+@pytest.mark.parametrize(
+    "weights, scan_extra, argv",
+    [
+        (None, {"depth": 0}, None),
+        (None, {"depth": 1}, None),  # path5 needs depth 2
+        (None, {"halvings": 300}, None),
+        (None, None, ["pigeonhole", "--t", "0.5", "--eps", "1e-200", "--depth", "1"]),
+        ([0, 0, 1], None, ["frostman", "--centers", "2", "--radii", "0.001,0.002,0.01"]),
+    ],
+    ids=["scan-depth-0", "scan-depth-1", "scan-halvings-300", "pigeonhole-eps-1e-200",
+         "frostman-empty-balls"],
+)
+def test_bad_input_exits_2_not_as_a_row_or_a_crash(tmp_path, weights, scan_extra, argv, capsys):
+    # a chain depth the tree does not fix, an eps below t's rounding unit and
+    # radii at which every ball is empty are the caller's input, never an outcome
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps(dict(_THREE_ATOMS, weights=weights or _THREE_ATOMS["weights"])))
+    if scan_extra is None:
+        argv = argv + ["--measure", str(measure)]
+    else:
+        tree, config = tmp_path / "path5.json", tmp_path / "scan.json"
+        tc.path_tree(4).save(tree)
+        config.write_text(json.dumps(
+            {"measure_file": str(measure), "tree_file": str(tree),
+             "out_dir": str(tmp_path / "out"), **scan_extra}
+        ))
+        argv = ["scan", "--config", str(config)]
+    assert run_pipeline(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -239,7 +239,7 @@ def test_restricted_terminal_log_is_the_field_of_z1s_stage(k, cantor_small):
     chain = tc.nested_good_sets(cantor_small, p, sched.required_depth)
     stages, term = sched.vertex_stages(), sched.terminal
     weights = chain.on_stage(stages[term.z1], cantor_small.weights)
-    source = replace(cantor_small, weights=weights, total_mass=None)
+    source = replace(cantor_small, weights=weights)
     ref = tc.convolve_field(source, p).values[chain.stage_indices(stages[term.z2])]
     log = tc.integral_peel(cantor_small, sched, p, chain).stage_log[-1]
     assert (log.factor_min, log.factor_max) == (ref.min(), ref.max())

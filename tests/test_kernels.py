@@ -30,6 +30,11 @@ def test_params_validation():
         tc.KernelParams(t=-1.0, eps=0.1)
     with pytest.raises(tc.ValidationError):
         tc.KernelParams(t=1.0, eps=0.0)
+    # below half an ulp of t, t - eps and t + eps round to t: no annulus is left
+    for t, eps in ((1.0, 1e-17), (0.5, 1e-200), (1e20, 1e3)):
+        with pytest.raises(tc.ValidationError, match="rounding unit"):
+            tc.KernelParams(t=t, eps=eps)
+    tc.KernelParams(t=1.0, eps=2.0**-52)  # one ulp still leaves an annulus
 
 
 @pytest.mark.parametrize("norm", [0.0, 0.5, 0.9, 1.0, 1.1, 2.0])

@@ -169,8 +169,6 @@ def test_measure_validation():
         tc.AtomicMeasure(d=1, atoms=[[0.0]], weights=[-1.0])
     with pytest.raises(tc.ValidationError):
         tc.AtomicMeasure(d=1, atoms=[[np.nan]], weights=[1.0])
-    with pytest.raises(tc.ValidationError):
-        tc.AtomicMeasure(d=1, atoms=[[0.0]], weights=[1.0], total_mass=2.0)
 
 
 def test_measure_json_roundtrip(tmp_path):

@@ -98,6 +98,15 @@ def test_good_set_preconditions():
         tc.good_set(_field([1.0]), mu, c=0.5)  # length mismatch
 
 
+def test_good_set_rejects_a_field_without_a_finite_ceiling():
+    # 16 C / c overflows although C itself is finite (first) or not (second)
+    mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
+    for value in (1e154, 1e200):
+        f = _field([value, value])
+        with np.errstate(over="ignore"), pytest.raises(tc.ValidationError, match="dyadic ceiling"):
+            tc.good_set(f, mu, c=value / 2)
+
+
 def test_nested_depth_one_equals_good_set():
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
     chain = tc.nested_good_sets(mu, P, depth=1)

@@ -28,8 +28,9 @@ def test_config_validation():
         tc.ScanConfig(t_steps=1)
     with pytest.raises(tc.ValidationError):
         tc.ScanConfig(t_min=0.5, eps0=0.6)
-    with pytest.raises(tc.ValidationError):
-        tc.ScanConfig.from_dict({"bogus_key": 1})
+    for unknown in ({"bogus_key": 1}, {"depth": 2}):  # the tree fixes the chain depth
+        with pytest.raises(tc.ValidationError, match="unknown scan config keys"):
+            tc.ScanConfig.from_dict(unknown)
     for budget in (0, -3):
         with pytest.raises(tc.ValidationError, match="node_budget"):
             tc.ScanConfig(node_budget=budget)
@@ -167,8 +168,10 @@ def test_scan_computes_each_stage_field_once(monkeypatch, pair_measure, pair_con
 
     monkeypatch.setattr("treeconfig.scan.convolve_field", counted)
     monkeypatch.setattr("treeconfig.pigeonhole.convolve_field", counted)
-    config = tc.ScanConfig(**dict(pair_config.to_dict(), depth=2))
-    report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
+    tree = tc.path_tree(3)
+    assert tc.compute_peel_schedule(tree).required_depth == 2
+    report = tc.scan_interval(pair_config, measure=pair_measure, tree=tree)
+    assert report.depth == 2
     statuses = [r.status for r in report.rows]
     assert set(statuses) == {"ok", "stage1_failure"}
     # one field per chain stage reached; the scan's own is the chain's stage 1
@@ -329,23 +332,8 @@ def test_internal_error_in_search_is_not_a_missing_witness(
 
 def test_validation_error_in_search_is_not_a_missing_witness(monkeypatch, pair_measure, pair_config):
     # the scan rechecks its config and hands the search the graph it built, so
-    # a ValidationError from the search is a bug, not an outcome
-    monkeypatch.setattr("treeconfig.scan.extract_embedding", _failing_search(tc.ValidationError))
-    with pytest.raises(tc.ValidationError, match="injected"):
-        tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
-
-
-def test_capped_search_reads_as_no_witness(monkeypatch, pair_measure, pair_config):
-    def capped(tables, *args, **kwargs):
-        if tables.hosts[0].any():
-            raise tc.ResourceCapError("injected")
-        return tc.extract_embedding(tables, *args, **kwargs)
-
-    monkeypatch.setattr("treeconfig.scan.extract_embedding", capped)
-    report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
-    assert any(r.homomorphism for r in report.rows)
-    assert not any(r.distinct_witness for r in report.rows)
-    # the capped search has no outcome; a t without a homomorphism needs no search node
-    assert {r.witness for r in report.rows if r.homomorphism} == {None}
-    no_hom = {(r.witness, r.embed_nodes) for r in report.rows if not r.homomorphism}
-    assert no_hom == {("absent", 0)}
+    # a ValidationError or a cap error from the search is a bug, not an outcome
+    for error in (tc.ValidationError, tc.ResourceCapError):
+        monkeypatch.setattr("treeconfig.scan.extract_embedding", _failing_search(error))
+        with pytest.raises(error, match="injected"):
+            tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
