@@ -3,17 +3,16 @@
 Two atoms are adjacent at scale (t, eps) when their pair_distance lies in
 the closed interval [t - eps, t + eps]: the edges of the annulus graph,
 symmetric like every AnnulusGraph of one point set. A tree is 2-colourable,
-so it folds onto any one edge (x, y, x, y, ...), and the feasibility tables
-(atoms that can host a vertex in SOME homomorphism) are read off the graph
-degree. Host tables, a bottom-up DP of mat-vecs on the graph, keep the atoms
-that pass degree and counting bounds every injective embedding obeys (the
-local step of Matula's subtree-isomorphism DP), so absence is often proven
-with no search. A witness is then extracted top-down by backtracking with an
-explicit stack over the host tables (the feasibility tables when repeats are
-allowed) and per-atom neighbour lists, each cached as a Python list of
-ascending atom ids the first time its atom hosts a parent, enforcing
-injectivity when asked. Returned witnesses are always re-verified by direct
-distance recomputation, independent of the graph.
+so it folds onto any one edge (x, y, x, y, ...): a homomorphism exists iff
+the graph has an edge. Host tables, a bottom-up DP of mat-vecs on the graph,
+keep the atoms that pass degree and counting bounds every injective
+embedding obeys (the local step of Matula's subtree-isomorphism DP), so
+absence is often proven with no search. A witness is then extracted top-down
+by backtracking with an explicit stack over the host tables (every atom with
+an edge when repeats are allowed) and per-atom neighbour lists, each cached
+as a Python list of ascending atom ids the first time its atom hosts a
+parent, enforcing injectivity when asked. Returned witnesses are always
+re-verified by direct distance recomputation, independent of the graph.
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ DEFAULT_NODE_BUDGET = 10**7
 
 @dataclass
 class FeasibilityTables:
-    """Per-vertex boolean atom tables, rooted at vertex 0.
+    """Per-vertex boolean host tables, rooted at vertex 0.
 
     order is a BFS preorder from root 0 (parents precede children),
-    children lists ascending. feasible holds the homomorphism tables (closed
-    form) and hosts their injective-necessary subsets (bottom-up sweep).
-    graph is the annulus graph the tables were computed on; extraction walks
-    its neighbour lists.
+    children lists ascending. hosts[v] holds the atoms that pass every
+    injective-necessary bound for v (bottom-up sweep). graph is the annulus
+    graph the tables were computed on; extraction walks its neighbour lists.
     """
 
     tree: TreeGraph
@@ -46,13 +44,12 @@ class FeasibilityTables:
     order: list[int]
     parent: dict[int, int | None]
     children: dict[int, list[int]]
-    feasible: dict[int, np.ndarray]
     hosts: dict[int, np.ndarray]
     graph: AnnulusGraph
 
     def root_feasible(self) -> bool:
-        """True iff a (not necessarily injective) homomorphism exists: one vertex, or a graph edge."""
-        return bool(self.feasible[0].any())
+        """True iff a (not necessarily injective) homomorphism exists: the graph has an edge."""
+        return self.graph.pairs.nnz > 0
 
 
 @dataclass
@@ -89,16 +86,15 @@ def feasibility_dp(
     params: KernelParams,
     graph: AnnulusGraph | None = None,
 ) -> FeasibilityTables:
-    """Per-vertex feasible and host atoms, rooted at vertex 0.
+    """Per-vertex host atoms, rooted at vertex 0.
 
-    Atom p is feasible for v iff v's subtree maps homomorphically into the
-    graph with v at p. The graph is symmetric, as every AnnulusGraph of one
-    point set is, so the subtree folds onto any edge at p: p is feasible iff
-    v is a leaf or p has a neighbour. Atom p hosts v iff its graph degree is
-    at least v's tree degree, a neighbour hosts each child, and (for 2+
-    children) as many neighbours host some child as v has children: bounds
-    every injective embedding obeys, one mat-vec per tree edge. graph is
-    mu's annulus graph at params, built when not given.
+    Atom p hosts v iff its graph degree is at least v's tree degree, a
+    neighbour hosts each child, and (for 2+ children) as many neighbours
+    host some child as v has children: bounds every injective embedding
+    obeys, one mat-vec per tree edge. The homomorphism question needs no
+    table: the graph is symmetric, as every AnnulusGraph of one point set
+    is, so any subtree folds onto any edge. graph is mu's annulus graph at
+    params, built when not given.
     """
     adj = tree.adjacency()
     order = [0]
@@ -123,8 +119,6 @@ def feasibility_dp(
         return annulus_sums(mu.atoms, table.astype(float), mu.atoms, params, graph)
 
     degree = np.diff(graph.pairs.indptr)
-    # v's subtree folds onto any edge (p, q) as p, q, p, q, ...
-    feasible = {v: degree >= (1 if kids else 0) for v, kids in children.items()}
     hosts = {}
     for v in reversed(order):
         kids = children[v]
@@ -139,7 +133,6 @@ def feasibility_dp(
         order=order,
         parent=parent,
         children=children,
-        feasible=feasible,
         hosts=hosts,
         graph=graph,
     )
@@ -173,20 +166,23 @@ def extract_embedding(
     require_distinct: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Top-down backtracking over the hosts tables (feasible without require_distinct).
+    """Top-down backtracking over the hosts tables (with repeats, every atom with an edge).
 
     Atoms are tried in ascending index order; with require_distinct a
     used-set rules out repeats. hosts prunes only dead branches, so the
-    witness is the one a walk of feasible would find first. Returns the
-    first witness, or a not-found result whose `exhausted` flag tells proven
-    absence apart from a spent node budget; a spent budget reports exactly
-    node_budget nodes visited.
+    witness is the one a walk of every atom with an edge would find first.
+    Returns the first witness, or a not-found result whose `exhausted` flag
+    tells proven absence apart from a spent node budget; a spent budget
+    reports exactly node_budget nodes visited.
     """
-    if tables.tree != tree or tables.params != params or len(tables.feasible[0]) != len(mu):
+    if tables.tree != tree or tables.params != params or tables.graph.pairs.shape[0] != len(mu):
         raise ValidationError("tables were built for a different instance")
     if node_budget < 1:
         raise ValidationError(f"node_budget must be >= 1, got {node_budget}")
-    tables_searched = tables.hosts if require_distinct else tables.feasible
+    if require_distinct:
+        tables_searched = tables.hosts
+    else:  # every subtree folds onto an edge at any atom that has one
+        tables_searched = dict.fromkeys(tables.order, np.diff(tables.graph.pairs.indptr) > 0)
     if not tables_searched[0].any():
         return SearchResult(witness=None, exhausted=True, nodes_visited=0)
     # Python lists indexed by stack position, so visiting a node makes no numpy call

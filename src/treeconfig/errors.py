@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the library.
+"""Exception taxonomy shared across the library, and the JSON integer check.
 
 The CLI maps these onto process exit codes, so the split matters:
 validation errors are caller mistakes, resource errors are size caps,
@@ -45,3 +45,10 @@ class DegenerateRadiiError(ValidationError):
 
 class InternalConsistencyError(TreeConfigError):
     """A certified inequality failed on computed data. Always a bug."""
+
+
+def json_int(value, name: str) -> int:
+    """value when it is a JSON integer (an int, not a bool); else a ValidationError naming it."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value

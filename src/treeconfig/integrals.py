@@ -22,13 +22,13 @@ so every message stays a mat-vec on the one annulus graph of the scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .kernels import AnnulusGraph, KernelParams, annulus_sums, pair_distance
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, finite_fsum
 from .pigeonhole import GoodSetChain
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule, path_tree
 
@@ -58,7 +58,6 @@ class IntegralResult:
     method: str  # "oracle" | "peel"
     stage_log: list[StageStats]
     params: KernelParams
-    bounds_witness: tuple[float, float] | None = field(default=None)
 
     def __post_init__(self):
         if not (self.value >= 0 and math.isfinite(self.value)):
@@ -220,7 +219,7 @@ def integral_peel(
     stage_log.append(
         StageStats("terminal", float(pure_term[rows].min()), float(pure_term[rows].max()))
     )
-    value = math.fsum((inner * vertex_values(term.z2))[rows])
+    value = finite_fsum((inner * vertex_values(term.z2))[rows], "configuration integral")
     return IntegralResult(value=value, method="peel", stage_log=stage_log, params=params)
 
 

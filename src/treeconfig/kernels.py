@@ -17,7 +17,6 @@ its largest outer radius, and each scale's graph is an exact mask of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import ResourceCapError, ValidationError
-from .measures import AtomicMeasure, pair_distance
+from .measures import AtomicMeasure, finite_fsum, pair_distance
 
 # Candidate pairs one k-d pass (a graph build, or a scan's envelope) may
 # examine, which bounds the pairs it stores: 4096^2, so 4096 atoms always fit.
@@ -216,12 +215,15 @@ def convolve_field(
 
 
 def field_norms(f: FieldValues, weights_at_queries) -> tuple[float, float]:
-    """(integral of f, integral of f^2) against the weights of the atoms f is sampled at."""
+    """(integral of f, integral of f^2) against the weights of the atoms f is sampled at.
+
+    The one place a field's norms are summed; a sum past the float range is refused.
+    """
     w = np.asarray(weights_at_queries, dtype=float)
     if w.shape != f.values.shape:
         raise ValidationError(
             f"weights length {w.shape} != field length {f.values.shape}"
         )
-    l1 = math.fsum(w * f.values)
-    l2sq = math.fsum(w * f.values * f.values)
-    return l1, l2sq
+    products = w * f.values
+    l1 = finite_fsum(products, "field integral")
+    return l1, finite_fsum(products * f.values, "field square integral")

@@ -8,7 +8,8 @@ mu(B(x, r)) against r) are provided on top. pair_distance, defined here,
 is the library's one Euclidean distance.
 
 Mass sums are accumulated with exact compensated summation (math.fsum) in
-fixed atom-index order, so totals reproduce to 1e-12 across platforms.
+fixed atom-index order, so totals reproduce to 1e-12 across platforms;
+finite_fsum refuses finite terms whose sum leaves the float range.
 """
 
 from __future__ import annotations
@@ -25,10 +26,19 @@ from .errors import (
     EmptyRestrictionError,
     ResourceCapError,
     ValidationError,
+    json_int,
 )
 from .rng import SplitMix64
 
 DEFAULT_ATOM_CAP = 10**6
+
+
+def finite_fsum(values, name: str) -> float:
+    """math.fsum, with a ValidationError naming the sum when finite terms overflow it."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValidationError(f"{name} overflows a float") from None
 
 
 @dataclass
@@ -106,9 +116,9 @@ class IFSSpec:
             maps = [(m["ratio"], np.asarray(m["translation"], dtype=float)) for m in obj["maps"]]
             probs = obj.get("probabilities")
             return cls(
-                d=int(obj["d"]),
+                d=json_int(obj["d"], "d"),
                 maps=maps,
-                depth=int(obj["depth"]),
+                depth=json_int(obj["depth"], "depth"),
                 probabilities=None if probs is None else np.asarray(probs, dtype=float),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -145,7 +155,7 @@ class AtomicMeasure:
             raise ValidationError("atom coordinates must be finite")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValidationError("weights must be finite and nonnegative")
-        self.total_mass = math.fsum(self.weights)
+        self.total_mass = finite_fsum(self.weights, "total mass")
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -162,7 +172,7 @@ class AtomicMeasure:
     def from_dict(cls, obj: dict) -> "AtomicMeasure":
         try:
             return cls(
-                d=int(obj["d"]),
+                d=json_int(obj["d"], "d"),
                 atoms=np.asarray(obj["atoms"], dtype=float),
                 weights=np.asarray(obj["weights"], dtype=float),
                 label=str(obj.get("label", "")),

@@ -59,13 +59,10 @@ class LevelProfile:
 def chebyshev_profile(
     f: FieldValues, mu_weights, c_prime: float, m_low: int
 ) -> LevelProfile:
-    w = np.asarray(mu_weights, dtype=float)
-    if w.shape != f.values.shape:
-        raise ValidationError("weights and field lengths differ")
     if not (c_prime > 0):
         raise ValidationError("c_prime must be positive")
-    v = f.values
-    c_bound = math.fsum(w * v * v)
+    _, c_bound = field_norms(f, mu_weights)
+    w, v = np.asarray(mu_weights, dtype=float), f.values
     below = v <= c_prime
     below_mass = math.fsum(w[below])
     total = math.fsum(w)
@@ -140,23 +137,18 @@ def good_set(f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1) -> Goo
     measured integral. Guarantees (and checks) that the integral of f over
     the kept set is >= c/2 and the kept mass is >= c / 2^(m+1).
     """
-    w = mu.weights
-    if w.shape != f.values.shape:
-        raise ValidationError("field was not sampled on this measure's atoms")
-    products = w * f.values
-    l1 = math.fsum(products)
+    l1, c_sq = field_norms(f, mu.weights)
     if not (0 < c <= l1):
         raise ValidationError(f"need 0 < c <= integral(f dmu) = {l1}, got c = {c}")
-    total = mu.total_mass
-    c_sq = math.fsum(products * f.values)
-    c_prime = c / (4.0 * total)
+    c_prime = c / (4.0 * mu.total_mass)
     if not math.isfinite(ratio := 16.0 * c_sq / c):
         raise ValidationError(f"field too large for a dyadic ceiling: 16 C / c = {ratio}")
     m = math.ceil(math.log2(ratio))
     ceiling = 2.0**m
     kept = (f.values > c_prime) & (f.values < ceiling)
 
-    good_l1 = math.fsum(products[kept])
+    w = mu.weights
+    good_l1 = math.fsum((w * f.values)[kept])
     achieved = math.fsum(w[kept])
     delta = c * 2.0 ** (-(m + 1))
     if good_l1 < c / 2.0:

@@ -160,7 +160,6 @@ class ScanRow:
             "stage_log": []
             if self.integral is None
             else [s.to_record() for s in self.integral.stage_log],
-            "bounds_witness": None if self.integral is None else self.integral.bounds_witness,
             "homomorphism": self.homomorphism,
             "distinct_witness": self.distinct_witness,
             "witness": self.witness,
@@ -291,11 +290,8 @@ def scan_interval(
     if best_run is not None:
         lo, hi = best_run
         interval = (float(t_values[lo]), float(t_values[hi - 1]))
-        in_i = [r for group in per_t[lo:hi] for r in group]
-        values = [r.integral.value for r in in_i]
+        values = [r.integral.value for group in per_t[lo:hi] for r in group]
         c_k, C_k = min(values), max(values)
-        for r in in_i:
-            r.integral.bounds_witness = (c_k, C_k)
 
     return ScanReport(
         config=config,
@@ -309,42 +305,28 @@ def scan_interval(
     )
 
 
-def _csv_num(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def _csv_bool(b: bool | None) -> str:
-    return "" if b is None else ("true" if b else "false")
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return x if isinstance(x, str) else repr(float(x))
 
 
 def emit_report(report: ScanReport, out_dir) -> dict[str, Path]:
-    """Write scan.csv, report.json and interval.json into out_dir."""
+    """Write report.json, its rows' CSV_HEADER fields as scan.csv, and interval.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
+    record = report.to_dict()
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    _csv_num(r.t),
-                    _csv_num(r.eps),
-                    _csv_num(r.l1),
-                    _csv_num(r.l2sq),
-                    _csv_num(r.delta_min),
-                    _csv_num(None if r.integral is None else r.integral.value),
-                    _csv_bool(r.homomorphism),
-                    _csv_bool(r.distinct_witness),
-                    r.status,
-                ]
-            )
-        )
+    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in record["rows"]]
     csv_path = out / "scan.csv"
     csv_path.write_text("\n".join(lines) + "\n")
 
     report_path = out / "report.json"
     with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(record, fh, indent=2)
 
     interval_path = out / "interval.json"
     lo, hi = report.interval if report.interval is not None else (None, None)

@@ -13,7 +13,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class TreeGraph:
     @classmethod
     def from_dict(cls, obj: dict) -> "TreeGraph":
         try:
-            return validate_tree(int(obj["n"]), obj["edges"])
+            edges = [[json_int(i, "edge vertex") for i in e] for e in obj["edges"]]
+            return validate_tree(json_int(obj["n"], "n"), edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed tree file: {exc}") from exc
 

@@ -69,6 +69,16 @@ def naive_field(source: tc.AtomicMeasure, queries, params: tc.KernelParams):
     return np.array(out)
 
 
+def homomorphism_tables(tables: tc.FeasibilityTables) -> dict[int, np.ndarray]:
+    """Closed form of the homomorphism tables: every atom for a leaf, else every atom with an edge.
+
+    A tree is 2-colourable and every annulus graph is symmetric, so v's
+    subtree folds onto any edge at v's atom.
+    """
+    degree = np.diff(tables.graph.pairs.indptr)
+    return {v: degree >= (1 if kids else 0) for v, kids in tables.children.items()}
+
+
 def exhaustive_injective(mu: tc.AtomicMeasure, tree: tc.TreeGraph, params) -> bool:
     """Oracle: try every injective vertex->atom map over the adjacency lists.
 

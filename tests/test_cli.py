@@ -278,6 +278,15 @@ _TWO_MAPS = _ONE_MAP + [{"ratio": 0.5, "translation": [0.5]}]
         ("ifs", {"d": 1, "depth": 1}, 2),
         ("ifs", {"d": 1, "maps": _ONE_MAP, "depth": 10**12}, 3),
         ("ifs", {"d": 1, "maps": _TWO_MAPS, "depth": 10**12}, 3),
+        # an integer field given as another JSON type is refused, not truncated
+        ("measure", {"d": 1.7, "atoms": [[0.0]], "weights": [1.0]}, 2),
+        ("measure", {"d": True, "atoms": [[0.0]], "weights": [1.0]}, 2),
+        ("measure", {"d": "1", "atoms": [[0.0]], "weights": [1.0]}, 2),
+        ("ifs", {"d": 1.9, "maps": _TWO_MAPS, "depth": 2}, 2),
+        ("ifs", {"d": 1, "maps": _TWO_MAPS, "depth": 2.5}, 2),
+        ("tree", {"n": 2.9, "edges": [[0, 1]]}, 2),
+        ("tree", {"n": 2, "edges": [[0.5, 1]]}, 2),
+        ("tree", {"n": 2, "edges": [[True, 0]]}, 2),
     ],
 )
 def test_malformed_file_is_a_typed_error(workdir, kind, content, code, capsys):
@@ -295,7 +304,7 @@ def test_malformed_file_is_a_typed_error(workdir, kind, content, code, capsys):
     assert run_pipeline(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("resource cap:" if code == 3 else "invalid input:")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 _THREE_ATOMS = {"d": 1, "atoms": [[0.0], [0.5], [1.0]], "weights": [0.3333, 0.3333, 0.3334]}
@@ -333,3 +342,31 @@ def test_bad_input_exits_2_not_as_a_row_or_a_crash(tmp_path, weights, scan_extra
     assert err.startswith("invalid input:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+
+_EDGE_TREE = {"n": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "atoms, weight, argv",
+    [
+        ([0.0, 0.5, 1.0], 1e308, ["integral", "--tree"]),
+        ([0.0, 0.5], 3.4e101, ["pigeonhole", "--depth", "1"]),
+        ([0.0, 0.5], 1.5e153, ["integral", "--method", "peel", "--tree"]),
+    ],
+    ids=["total-mass", "field-norms", "peel-terminal-sum"],
+)
+def test_finite_weights_whose_sum_overflows_exit_2(tmp_path, atoms, weight, argv, capsys):
+    # every term is finite, but the total mass, the stage-1 field's square
+    # integral or the peel integral's terminal sum is past the float range
+    measure, tree = tmp_path / "m.json", tmp_path / "t.json"
+    weights = [weight] * len(atoms)
+    measure.write_text(json.dumps({"d": 1, "atoms": [[a] for a in atoms], "weights": weights}))
+    tree.write_text(json.dumps(_EDGE_TREE))
+    if argv[-1] == "--tree":
+        argv = argv + [str(tree)]
+    assert run_pipeline(argv + ["--measure", str(measure), "--t", "0.5", "--eps", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert "overflows" in err and "Traceback" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import treeconfig as tc
-from conftest import exhaustive_injective, random_tree
+from conftest import exhaustive_injective, homomorphism_tables, random_tree
 
 P = tc.KernelParams(t=1.0, eps=0.1)
 
@@ -12,7 +12,7 @@ P = tc.KernelParams(t=1.0, eps=0.1)
 def test_dp_pair_single_edge():
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
     tables = tc.feasibility_dp(mu, tc.path_tree(1), P)
-    assert tables.feasible[0].all() and tables.feasible[1].all()
+    assert tables.hosts[0].all() and tables.hosts[1].all()
     assert tables.root_feasible()
 
 
@@ -27,7 +27,7 @@ def test_dp_three_collinear():
     tables = tc.feasibility_dp(mu, tc.path_tree(2), P)
     assert tables.root_feasible()
     # middle atom can host the middle vertex
-    assert tables.feasible[1][1]
+    assert tables.hosts[1][1]
 
 
 def test_extract_three_collinear_distinct():
@@ -156,7 +156,7 @@ def _subtree_maps_with_root_at(tables, adjacent, v, p):
 @pytest.mark.parametrize("seed", range(40))
 def test_feasible_tables_match_enumerated_subtree_maps(seed):
     # tiny 0.1-lattice instances, some with repeated atoms and boundary gaps:
-    # feasible[v][p] must say whether v's subtree maps with v at p
+    # the closed-form table of v must say at p whether v's subtree maps with v at p
     rng = np.random.default_rng(900 + seed)
     n = int(rng.integers(1, 7))
     atoms = rng.integers(0, 4, size=(n, 2)) / 10
@@ -167,9 +167,11 @@ def test_feasible_tables_match_enumerated_subtree_maps(seed):
     dist = tc.pair_distance(atoms[:, None, :], atoms[None, :, :])
     adjacent = (params.inner <= dist) & (dist <= params.outer)
     tables = tc.feasibility_dp(mu, tree, params)
+    homomorphism = homomorphism_tables(tables)
     for v in range(tree.n_vertices):
         expected = [_subtree_maps_with_root_at(tables, adjacent, v, p) for p in range(n)]
-        assert tables.feasible[v].tolist() == expected
+        assert homomorphism[v].tolist() == expected
+    assert tables.root_feasible() == homomorphism[0].any()
 
 
 def test_extract_rejects_foreign_tables():

@@ -163,7 +163,6 @@ def test_peel_stage_log_shape():
     assert res.method == "peel"
     assert len(res.stage_log) == sched.n_rounds + 1
     assert res.stage_log[-1].label == "terminal"
-    assert res.bounds_witness is None
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -105,6 +105,12 @@ def test_good_set_rejects_a_field_without_a_finite_ceiling():
         f = _field([value, value])
         with np.errstate(over="ignore"), pytest.raises(tc.ValidationError, match="dyadic ceiling"):
             tc.good_set(f, mu, c=value / 2)
+    # each w * f^2 is finite but their sum is not: field_norms refuses it
+    f = _field([1.3e154, 1.3e154])
+    with pytest.raises(tc.ValidationError, match="field square integral overflows"):
+        tc.good_set(f, tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[1.0, 1.0]), c=1.0)
+    with pytest.raises(tc.ValidationError, match="field square integral overflows"):
+        tc.chebyshev_profile(f, [1.0, 1.0], c_prime=1.0, m_low=0)
 
 
 def test_nested_depth_one_equals_good_set():

@@ -116,12 +116,13 @@ def test_rows_in_interval_have_homomorphism(pair_measure, pair_config):
             assert row.homomorphism
 
 
-def test_bounds_witness_attached_inside_interval(pair_measure, pair_config):
+def test_bounds_are_extrema_inside_interval(pair_measure, pair_config):
+    # c_k and C_k are kept once, on the report; no row carries a copy
     report = tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
     lo, hi = report.interval
-    for row in report.rows:
-        if lo <= row.t <= hi:
-            assert row.integral.bounds_witness == (report.c_k, report.C_k)
+    values = [row.integral.value for row in report.rows if lo <= row.t <= hi]
+    assert (report.c_k, report.C_k) == (min(values), max(values))
+    assert all("bounds_witness" not in rec for rec in report.to_dict()["rows"])
 
 
 def test_emit_report_files(tmp_path, pair_measure, pair_config):

@@ -5,8 +5,12 @@ reference_search is the search as it stood with numpy candidate arrays
 it, a used-array mask for injectivity), with the node count stopping at
 exactly node_budget. extract_embedding walks plain Python lists instead; given
 the table it walks, it must visit the same nodes in the same order, so every
-outcome field agrees. Walking the host tables in place of the feasibility
-tables must lose no injective witness, change none and visit no more nodes.
+outcome field agrees. With repeats allowed, extract_embedding admits every
+atom with an edge at every vertex, and the reference walks the homomorphism
+tables (every atom at a leaf): the candidates below the root come from
+neighbour lists, so both visit the same nodes. Walking the host tables in
+place of the homomorphism tables must lose no injective witness, change none
+and visit no more nodes.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeconfig as tc
-from conftest import exhaustive_injective, pruefer_tree
+from conftest import exhaustive_injective, homomorphism_tables, pruefer_tree
 
 
 def reference_search(tables, table, mu, require_distinct, node_budget):
@@ -80,7 +84,7 @@ def search_instances(draw):
 def test_search_matches_numpy_reference(instance):
     mu, tree, params = instance
     tables = tc.feasibility_dp(mu, tree, params)
-    for require_distinct, table in ((True, tables.hosts), (False, tables.feasible)):
+    for require_distinct, table in ((True, tables.hosts), (False, homomorphism_tables(tables))):
         for budget in (1, 7, 10**6):
             res = tc.extract_embedding(tables, mu, tree, params, require_distinct, budget)
             assignment, exhausted, nodes = reference_search(
@@ -97,12 +101,13 @@ def test_search_matches_numpy_reference(instance):
 def test_host_tables_lose_no_witness(instance):
     mu, tree, params = instance
     tables = tc.feasibility_dp(mu, tree, params)
+    homomorphism = homomorphism_tables(tables)
     for v in range(tree.n_vertices):
-        assert not (tables.hosts[v] & ~tables.feasible[v]).any()
+        assert not (tables.hosts[v] & ~homomorphism[v]).any()
     res = tc.extract_embedding(tables, mu, tree, params)
     assert res.exhausted or res.found
     assert res.found == exhaustive_injective(mu, tree, params)
-    assignment, _, nodes = reference_search(tables, tables.feasible, mu, True, 10**6)
+    assignment, _, nodes = reference_search(tables, homomorphism, mu, True, 10**6)
     assert (res.witness and res.witness.assignment) == assignment
     assert res.nodes_visited <= nodes
 
@@ -120,7 +125,7 @@ def lattice_broom_instance(seed: int):
 
 def test_lattice_broom_proven_absent_in_44448_nodes():
     # the broom's degree-5 vertex has at most 4 lattice neighbours, so no
-    # injective embedding exists; a search of the feasibility tables proves
+    # injective embedding exists; a search of the homomorphism tables proves
     # it in the same number of nodes whatever the atom order, while the
     # host tables rule out every atom for that vertex and need no search
     for seed in (0, 1, 2):
@@ -129,4 +134,5 @@ def test_lattice_broom_proven_absent_in_44448_nodes():
         assert tables.root_feasible() and not tables.hosts[4].any()
         res = tc.extract_embedding(tables, mu, broom, p)
         assert (res.found, res.exhausted, res.nodes_visited) == (False, True, 0)
-        assert reference_search(tables, tables.feasible, mu, True, 10**7) == (None, True, 44_448)
+        homomorphism = homomorphism_tables(tables)
+        assert reference_search(tables, homomorphism, mu, True, 10**7) == (None, True, 44_448)
