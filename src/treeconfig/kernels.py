@@ -224,6 +224,7 @@ def field_norms(f: FieldValues, weights_at_queries) -> tuple[float, float]:
         raise ValidationError(
             f"weights length {w.shape} != field length {f.values.shape}"
         )
-    products = w * f.values
-    l1 = finite_fsum(products, "field integral")
-    return l1, finite_fsum(products * f.values, "field square integral")
+    with np.errstate(over="ignore"):  # an overflowing term gives an inf norm; good_set refuses it
+        products = w * f.values
+        squares = products * f.values
+    return finite_fsum(products, "field integral"), finite_fsum(squares, "field square integral")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, StageFailureError, ValidationError
 from .kernels import AnnulusGraph, FieldValues, KernelParams, convolve_field, field_norms
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, exact_sum
 
 
 def _dyadic_level(values: np.ndarray) -> np.ndarray:
@@ -64,8 +64,8 @@ def chebyshev_profile(
     _, c_bound = field_norms(f, mu_weights)
     w, v = np.asarray(mu_weights, dtype=float), f.values
     below = v <= c_prime
-    below_mass = math.fsum(w[below])
-    total = math.fsum(w)
+    below_mass = exact_sum(w[below])
+    total = exact_sum(w)
 
     levels: list[tuple[int, float]] = []
     above = ~below
@@ -75,7 +75,7 @@ def chebyshev_profile(
         hi = int(lev.max())
         w_above = w[above]
         for l in range(lo, hi + 1):
-            mass = math.fsum(w_above[lev == l])
+            mass = exact_sum(w_above[lev == l])
             bound = c_bound * 2.0 ** (-2 * l)
             if mass > bound:
                 raise InternalConsistencyError(
@@ -130,14 +130,18 @@ class GoodSet:
         }
 
 
-def good_set(f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1) -> GoodSet:
+def good_set(
+    f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1,
+    norms: tuple[float, float] | None = None,
+) -> GoodSet:
     """Pinched level set with the certified bounds asserted.
 
     Requires 0 < c <= integral of f d(mu); the usual call passes half the
     measured integral. Guarantees (and checks) that the integral of f over
-    the kept set is >= c/2 and the kept mass is >= c / 2^(m+1).
+    the kept set is >= c/2 and the kept mass is >= c / 2^(m+1). norms is
+    field_norms(f, mu.weights) when the caller already holds it.
     """
-    l1, c_sq = field_norms(f, mu.weights)
+    l1, c_sq = norms if norms is not None else field_norms(f, mu.weights)
     if not (0 < c <= l1):
         raise ValidationError(f"need 0 < c <= integral(f dmu) = {l1}, got c = {c}")
     c_prime = c / (4.0 * mu.total_mass)
@@ -148,8 +152,8 @@ def good_set(f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1) -> Goo
     kept = (f.values > c_prime) & (f.values < ceiling)
 
     w = mu.weights
-    good_l1 = math.fsum((w * f.values)[kept])
-    achieved = math.fsum(w[kept])
+    good_l1 = exact_sum((w * f.values)[kept])
+    achieved = exact_sum(w[kept])
     delta = c * 2.0 ** (-(m + 1))
     if good_l1 < c / 2.0:
         raise InternalConsistencyError(
@@ -212,6 +216,7 @@ def nested_good_sets(
     depth: int,
     graph: AnnulusGraph | None = None,
     field: FieldValues | None = None,
+    norms: tuple[float, float] | None = None,
 ) -> GoodSetChain:
     """Iterate good-set selection against the self-convolved field.
 
@@ -222,25 +227,30 @@ def nested_good_sets(
     stage field has zero integral (t outside the viable range). graph is
     mu's annulus graph at params, built when not given; every stage field
     is a mat-vec on all of it. field, when given, is the stage-1 field
-    convolve_field(mu, params), used as is.
+    convolve_field(mu, params), used as is, and norms, when given with it,
+    is field_norms(field, mu.weights).
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     if field is not None and (field.params != params or len(field) != len(mu)):
         raise ValidationError("stage-1 field was computed for other parameters or atoms")
+    if norms is not None and field is None:
+        raise ValidationError("stage-1 norms need the stage-1 field they were summed from")
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)
     chain = GoodSetChain(stages=[], fields=[], params=params, n_atoms=len(mu))
     staged = mu
     f = field if field is not None else convolve_field(mu, params, graph)
+    if norms is None:
+        norms = field_norms(f, mu.weights)
     for j in range(1, depth + 1):
         if j > 1:
             staged = replace(mu, weights=chain.on_stage(j - 1, mu.weights))
             full = convolve_field(staged, params, graph)
             f = FieldValues(chain.on_stage(j - 1, full.values), params)
-        l1, _ = field_norms(f, staged.weights)
-        if l1 <= 0.0:
+            norms = field_norms(f, staged.weights)
+        if norms[0] <= 0.0:
             raise StageFailureError(stage=j, t=params.t, eps=params.eps)
-        chain.stages.append(good_set(f, staged, l1 / 2.0, stage=j))
+        chain.stages.append(good_set(f, staged, norms[0] / 2.0, stage=j, norms=norms))
         chain.fields.append(chain.on_stage(j, f.values))
     return chain

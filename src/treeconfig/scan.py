@@ -222,8 +222,8 @@ def _scan_one_t(
         params = graph.params
         try:
             f = convolve_field(mu, params, graph)
-            row.l1, row.l2sq = field_norms(f, mu.weights)
-            chain = nested_good_sets(mu, params, schedule.required_depth, graph, f)
+            row.l1, row.l2sq = norms = field_norms(f, mu.weights)
+            chain = nested_good_sets(mu, params, schedule.required_depth, graph, f, norms)
             row.stage_deltas = [gs.delta for gs in chain.stages]
             row.delta_min = min(row.stage_deltas)
             row.integral = integral_peel(mu, schedule, params, chain, graph)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import treeconfig as tc
 from conftest import SMALL_RATIO, product_cantor_spec
+from treeconfig.measures import exact_sum
 
 
 def test_single_map_fixed_point():
@@ -131,6 +133,57 @@ def test_ball_mass_saturates_at_total():
         mu.total_mass, rel=1e-12
     )
     assert tc.ball_mass(mu, mu.atoms[0], 0.3) <= mu.total_mass
+
+
+@st.composite
+def float_arrays(draw):
+    """0-5,000 floats of one shape, with a few drawn special values scattered in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 5000))
+    shape = draw(st.sampled_from(["spread", "subnormal", "cancel", "equal", "huge"]))
+    if shape == "spread":  # exponents over the whole finite range
+        v = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1024, n))
+    elif shape == "subnormal":
+        v = np.ldexp(rng.integers(-(2**52), 2**52, n).astype(float), -1074)
+    elif shape == "cancel":  # each term beside its negation, plus one small remainder
+        half = np.ldexp(rng.uniform(-1.0, 1.0, n // 2), rng.integers(-1074, 1000, n // 2))
+        v = np.concatenate([half, -half, rng.uniform(-1e-300, 1e-300, n % 2)])
+        rng.shuffle(v)
+    elif shape == "equal":  # all-equal weights
+        v = np.full(n, draw(st.floats(allow_nan=False, allow_infinity=False)))
+    else:  # near the top of the range, where fsum's partials may overflow
+        v = rng.uniform(-1.0, 1.0, n) * 1.7e308
+    specials = draw(st.lists(st.floats(), max_size=4 if n else 0))  # inf, nan, -0.0, ...
+    v[rng.integers(0, max(n, 1), len(specials))] = specials
+    return v
+
+
+def _fsum_outcome(sum_, values):
+    try:
+        return struct.pack("<d", sum_(values))  # the sign of zero counts
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@given(values=float_arrays())
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_bit_for_bit(values):
+    # the reference iterates the array's numpy scalars; exact_sum hands fsum Python floats
+    assert _fsum_outcome(exact_sum, values) == _fsum_outcome(math.fsum, values)
+
+
+def test_exact_sum_edge_cases():
+    assert struct.pack("<d", exact_sum(np.array([-0.0, -0.0]))) == struct.pack(
+        "<d", math.fsum([-0.0, -0.0])
+    )
+    # fsum's overflow depends on term order; exact_sum's follows it
+    assert exact_sum(np.array([1e308, -1e308, 1e308])) == 1e308
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308, -1e308]))
+    assert math.isnan(exact_sum(np.array([1.0, math.nan])))
+    assert exact_sum(np.array([math.inf, 1.0, -5.0])) == math.inf
+    with pytest.raises(ValueError):
+        exact_sum(np.array([math.inf, -math.inf]))
 
 
 def test_restrict_identity_and_single():

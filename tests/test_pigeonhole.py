@@ -100,11 +100,18 @@ def test_good_set_preconditions():
 
 def test_good_set_rejects_a_field_without_a_finite_ceiling():
     # 16 C / c overflows although C itself is finite (first) or not (second)
+    # No np.errstate here: an overflowing w * f^2 term raises no RuntimeWarning,
+    # which the warnings-as-errors filter would turn into a failure.
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
     for value in (1e154, 1e200):
         f = _field([value, value])
-        with np.errstate(over="ignore"), pytest.raises(tc.ValidationError, match="dyadic ceiling"):
+        with pytest.raises(tc.ValidationError, match="dyadic ceiling"):
             tc.good_set(f, mu, c=value / 2)
+    f = _field([1e200, 1e200])
+    unit = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[1.0, 1.0])
+    assert tc.field_norms(f, unit.weights) == (2e200, math.inf)
+    with pytest.raises(tc.ValidationError, match="dyadic ceiling"):
+        tc.good_set(f, unit, c=1e200)
     # each w * f^2 is finite but their sum is not: field_norms refuses it
     f = _field([1.3e154, 1.3e154])
     with pytest.raises(tc.ValidationError, match="field square integral overflows"):
@@ -199,6 +206,11 @@ def test_handed_in_field_is_used_and_checked(cantor_small):
     short = tc.FieldValues(values=f.values[:-1], params=p)
     with pytest.raises(tc.ValidationError, match="stage-1 field"):
         tc.nested_good_sets(cantor_small, p, depth=1, field=short)
+    norms = tc.field_norms(f, cantor_small.weights)
+    handed = tc.nested_good_sets(cantor_small, p, depth=2, field=f, norms=norms)
+    assert [gs.to_record() for gs in handed.stages] == plain.to_records()
+    with pytest.raises(tc.ValidationError, match="stage-1 norms"):
+        tc.nested_good_sets(cantor_small, p, depth=1, norms=norms)
 
 
 def test_restricted_mass_meets_certificate(cantor_small):

@@ -179,6 +179,23 @@ def test_scan_computes_each_stage_field_once(monkeypatch, pair_measure, pair_con
     assert len(calls) == sum(2 if s == "ok" else 1 for s in statuses)
 
 
+def test_scan_sums_each_stage_norms_once(monkeypatch, pair_measure, pair_config):
+    calls = []
+
+    def counted(f, weights):
+        calls.append((f.params.t, f.params.eps))
+        return tc.field_norms(f, weights)
+
+    monkeypatch.setattr("treeconfig.scan.field_norms", counted)
+    monkeypatch.setattr("treeconfig.pigeonhole.field_norms", counted)
+    tree = tc.path_tree(3)
+    report = tc.scan_interval(pair_config, measure=pair_measure, tree=tree)
+    assert report.depth == 2
+    assert {r.status for r in report.rows} == {"ok", "stage1_failure"}
+    for row in report.rows:  # one field_norms call per chain stage the row reached
+        assert calls.count((row.t, row.eps)) == (2 if row.status == "ok" else 1)
+
+
 def test_scan_makes_one_distance_pass(monkeypatch, pair_measure):
     passes = []
 
