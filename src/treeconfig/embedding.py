@@ -180,14 +180,18 @@ def extract_embedding(
     if node_budget < 1:
         raise ValidationError(f"node_budget must be >= 1, got {node_budget}")
     if require_distinct:
-        tables_searched = tables.hosts
+        root_allowed = tables.hosts[0]
     else:  # every subtree folds onto an edge at any atom that has one
-        tables_searched = dict.fromkeys(tables.order, np.diff(tables.graph.pairs.indptr) > 0)
-    if not tables_searched[0].any():
+        root_allowed = np.diff(tables.graph.pairs.indptr) > 0
+    if not root_allowed.any():
         return SearchResult(witness=None, exhausted=True, nodes_visited=0)
-    # Python lists indexed by stack position, so visiting a node makes no numpy call
+    # Python lists indexed by stack position, so visiting a node makes no numpy
+    # call; without require_distinct every position shares one list
     order = tables.order
-    allowed = [tables_searched[v].tolist() for v in order]
+    if require_distinct:
+        allowed = [tables.hosts[v].tolist() for v in order]
+    else:
+        allowed = [root_allowed.tolist()] * len(order)
     position = {v: pos for pos, v in enumerate(order)}
     parent_pos = [position.get(tables.parent[v]) for v in order]
     indptr, indices = tables.graph.pairs.indptr.tolist(), tables.graph.pairs.indices

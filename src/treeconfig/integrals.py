@@ -9,14 +9,16 @@ kernel factor to each edge:
 Two evaluators are provided. The brute-force one forms every product term
 and is the oracle: it enumerates prefix tuples in blocks and broadcasts the
 remaining vertices as dense tensor axes, so a block holds at most _CHUNK
-terms, and the term_cap check bounds the total. The peel evaluator eliminates
-vertices along a leaf-peeling schedule, accumulating per-vertex message
-fields, and reorganizes exactly the same sum, so the two agree to float
-reassociation error. With a nested good-set chain supplied, each vertex v
-integrates against mu with zero weight off stage schedule.vertex_stages()[v],
-which equals brute force computed with each vertex's measure replaced by
-its stage restriction. Adding an exact 0.0 leaves a float sum unchanged,
-so every message stays a mat-vec on the one annulus graph of the scale.
+terms, and the term_cap check bounds the total. A block is the product of
+k-1 edge factors, each vertex weight folded into the first edge that touches
+the vertex. The peel evaluator eliminates vertices along a leaf-peeling
+schedule, accumulating per-vertex message fields, and reorganizes exactly
+the same sum, so the two agree to float reassociation error. With a nested
+good-set chain supplied, each vertex v integrates against mu with zero
+weight off stage schedule.vertex_stages()[v], which equals brute force
+computed with each vertex's measure replaced by its stage restriction.
+Adding an exact 0.0 leaves a float sum unchanged, so every message stays a
+mat-vec on the one annulus graph of the scale.
 """
 
 from __future__ import annotations
@@ -89,10 +91,11 @@ def integral_bruteforce(
     Every term is formed and summed. The vertices split into a prefix
     0..s-1 and the longest tail s..k-1 whose tuples number at most
     _CHUNK. Each block of P prefix tuples becomes one dense tensor of shape
-    (P, n_s, ..., n_{k-1}): every weight and kernel factor is gathered on
-    its prefix axes and broadcast over its tail axes, so a block holds at
-    most _CHUNK terms and memory stays bounded. Blocks are summed with
-    np.sum, and the block sums with math.fsum.
+    (P, n_s, ..., n_{k-1}), the product of k-1 edge factors: each edge's
+    kernel matrix, times the weights of the vertices it is the first edge
+    of, is gathered on its prefix axes and broadcast over its tail axes, so
+    a block holds at most _CHUNK terms and memory stays bounded. Blocks are
+    summed with np.sum, and the block sums with math.fsum.
     """
     if len(mu_per_vertex) != tree.n_vertices:
         raise ValidationError(
@@ -108,13 +111,20 @@ def integral_bruteforce(
             f"enumeration needs {n_terms} product terms, over the cap of {term_cap}"
         )
 
-    # One factor per vertex weight and per edge kernel, each with its vertex
-    # axes in ascending order.
-    factors = [((v,), m.weights) for v, m in enumerate(mu_per_vertex)]
+    # One factor per edge kernel, with its vertex axes in ascending order.
+    # Each vertex weight is folded into the first edge that touches it (a
+    # tree has at least one edge), so a term is a product of k-1 factors.
+    factors, folded = [], set()
     for i, j in map(sorted, tree.edges):
-        a, b = mu_per_vertex[i].atoms, mu_per_vertex[j].atoms
-        dist = pair_distance(a[:, None, :], b[None, :, :])
-        factors.append(((i, j), params.contains(dist) * params.weight))
+        a, b = mu_per_vertex[i], mu_per_vertex[j]
+        dist = pair_distance(a.atoms[:, None, :], b.atoms[None, :, :])
+        factor = params.contains(dist) * params.weight
+        if i not in folded:
+            factor = factor * a.weights[:, None]
+        if j not in folded:
+            factor = factor * b.weights[None, :]
+        folded.update((i, j))
+        factors.append(((i, j), factor))
 
     # The tail vertices s..k-1 span a dense block of at most _CHUNK tuples
     # and 31 axes (a block fits numpy's 32 dimensions); the prefix tuples
@@ -128,13 +138,13 @@ def integral_bruteforce(
     for start in range(0, n_prefix, block):
         lin = np.arange(start, min(start + block, n_prefix), dtype=np.int64)
         idx = [(lin // strides[v]) % counts[v] for v in range(s)]
-        term = np.ones((len(lin), *tail_shape))
+        term = 1.0
         for axes, arr in factors:
             # gather the prefix axes onto the block axis, broadcast the tail axes
             gathered = arr[tuple(idx[v] for v in axes if v < s)]
             shape = [len(lin) if axes[0] < s else 1]
             shape += [counts[v] if v in axes else 1 for v in range(s, k)]
-            term *= gathered.reshape(shape)
+            term = term * gathered.reshape(shape)
         chunk_sums.append(float(np.sum(term)))
     return IntegralResult(
         value=math.fsum(chunk_sums), method="oracle", stage_log=[], params=params

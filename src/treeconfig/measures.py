@@ -92,6 +92,9 @@ class IFSSpec:
             self.probabilities = np.asarray(self.probabilities, dtype=float)
             if self.probabilities.shape != (len(self.maps),):
                 raise ValidationError("probabilities length must match maps")
+            if not np.all(np.isfinite(self.probabilities)):
+                probs = self.probabilities.tolist()
+                raise ValidationError(f"probabilities must be finite, got {probs}")
             if np.any(self.probabilities < 0):
                 raise ValidationError("probabilities must be nonnegative")
             if abs(exact_sum(self.probabilities) - 1.0) > 1e-12:

@@ -307,6 +307,20 @@ def test_malformed_file_is_a_typed_error(workdir, kind, content, code, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_nan_ifs_probabilities_exit_2(workdir, capsys):
+    # Python's json writes and reads NaN; the IFS file must still be refused
+    tmp_path, _, _, _ = workdir
+    path = tmp_path / "nan_ifs.json"
+    spec = {"d": 1, "maps": _TWO_MAPS, "depth": 2, "probabilities": [math.nan, math.nan]}
+    path.write_text(json.dumps(spec))
+    assert "NaN" in path.read_text()
+    code = run_pipeline(["generate", "--ifs", str(path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "probabilities must be finite" in err
+    assert err.count("\n") == 1 and not (tmp_path / "m.json").exists()
+
+
 _THREE_ATOMS = {"d": 1, "atoms": [[0.0], [0.5], [1.0]], "weights": [0.3333, 0.3333, 0.3334]}
 
 

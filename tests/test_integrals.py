@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,18 +117,67 @@ def test_bruteforce_equals_literal_sum(instance, chunk):
     ],
 )
 def test_bruteforce_prefix_tail_splits(counts, chunk, monkeypatch):
+    _check_split(tc.path_tree(len(counts) - 1), counts, chunk, False, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "tree, counts, chunk",
+    [
+        (tc.star_tree(3), [3, 4, 5, 2], 25),  # tail {2, 3}, two prefix tuples per block
+        (tc.star_tree(3), [3, 4, 5, 2], 3),  # tail {3}, 60 one-tuple blocks
+        (tc.star_tree(3), [3, 4, 5, 2], 1),  # no tail: every block is one term
+        # edges (0,3) (1,3) (1,4) (2,3): vertex 3 is folded into its first
+        # edge only, vertex 1 into an edge it shares with a folded vertex
+        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 15),  # tail {3, 4}, blocks of 2
+        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 30),  # tail {2, 3, 4}
+        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 5),  # tail {4}, blocks of 2
+    ],
+)
+def test_bruteforce_prefix_tail_splits_on_branching_trees(tree, counts, chunk, monkeypatch):
+    _check_split(tree, counts, chunk, True, monkeypatch)
+
+
+def _check_split(tree, counts, chunk, zero_weights, monkeypatch):
+    """Oracle == literal sum under a forced _CHUNK; repeatable; inputs untouched."""
     rng = np.random.default_rng(sum(counts) + chunk)
-    measures = [
-        tc.AtomicMeasure(d=2, atoms=rng.random((n, 2)), weights=rng.random(n))
-        for n in counts
-    ]
-    tree = tc.path_tree(len(counts) - 1)
-    params = tc.KernelParams(t=0.5, eps=0.2)
+    measures = []
+    for n in counts:
+        weights = rng.random(n)
+        if zero_weights:
+            weights[::3] = 0.0
+        measures.append(tc.AtomicMeasure(d=2, atoms=rng.random((n, 2)), weights=weights))
+    before = [(m.atoms.copy(), m.weights.copy()) for m in measures]
+    # the wider annulus keeps branching trees with zero weights off a zero sum
+    params = tc.KernelParams(t=0.5, eps=0.3 if zero_weights else 0.2)
     expected = literal_sum(measures, tree, params)
     monkeypatch.setattr("treeconfig.integrals._CHUNK", chunk)
     value = tc.integral_bruteforce(measures, tree, params).value
     assert value > 0
     assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # no factor is written in place: a second call repeats the value bit for
+    # bit and every measure is as it was
+    assert tc.integral_bruteforce(measures, tree, params).value == value
+    for m, (atoms, weights) in zip(measures, before):
+        assert np.array_equal(m.atoms, atoms) and np.array_equal(m.weights, weights)
+
+
+def test_bruteforce_memory_stays_within_a_few_blocks():
+    # 24^5 = 7,962,624 terms in 24 blocks of 24^4; at most two blocks of
+    # _CHUNK float64 terms may be live at once, so 4 blocks is ample
+    rng = np.random.default_rng(24)
+    mu = tc.AtomicMeasure(d=2, atoms=rng.random((24, 2)), weights=rng.random(24) + 0.01)
+    tree = pruefer_tree([1, 1, 3], 5)
+    params = tc.KernelParams(t=0.5, eps=0.2)
+    tracemalloc.start()
+    try:
+        value = tc.integral_bruteforce([mu] * 5, tree, params).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * tc.integrals._CHUNK * 8
+    peel = tc.integral_peel(mu, tc.compute_peel_schedule(tree), params).value
+    assert value == pytest.approx(peel, rel=1e-9, abs=0.0)
+    assert value > 0
 
 
 @pytest.mark.parametrize("n_vertices", [40, 70])

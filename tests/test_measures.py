@@ -68,6 +68,17 @@ def test_ifs_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "probabilities", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]]
+)
+def test_ifs_rejects_non_finite_probabilities(probabilities):
+    # a nan sum is not more than 1e-12 away from 1, so the sum check alone passed it
+    with pytest.raises(tc.ValidationError, match="probabilities must be finite, got"):
+        tc.IFSSpec(
+            d=1, maps=[(0.5, (0.0,)), (0.5, (0.5,))], depth=2, probabilities=probabilities
+        )
+
+
 def test_ball_mass_single_atom():
     mu = tc.AtomicMeasure(d=2, atoms=[[0.0, 0.0]], weights=[1.0])
     for r in (1e-9, 0.5, 100.0):
