@@ -2,9 +2,8 @@
 
 Each round strips the current degree-1 vertices, attaching their kernel
 factors to host vertices; when stripping them all would leave a single
-vertex, the lowest-id leaf is kept so the process ends at one edge. The
-terminal pair records the last round each endpoint hosted. Each vertex's
-stage is the last round it hosted (the terminal z2 one deeper when both
+vertex, the lowest-id leaf is kept so the process ends at one edge, the
+terminal pair (z1, z2). Each vertex's stage is the last round it hosted (the terminal z2 one deeper when both
 endpoints share a stage); the restricted integral gives each vertex the
 measure with zero weight off its stage, and the deepest stage is the
 chain depth the restriction needs.
@@ -17,13 +16,13 @@ def show(name, tree):
     s = tc.compute_peel_schedule(tree)
     print(f"{name} (n={tree.n_vertices}, edges={tree.edges})")
     for j, rnd in enumerate(s.rounds, start=1):
+        leaves = ", ".join(f"{v} -> {h}" for v, h in rnd.leaf_hosts)
         hosts = ", ".join(f"{h} absorbs {m}" for h, m in rnd.attachments)
-        print(f"  round {j}: peel {rnd.isolated}; {hosts}; "
-              f"left {rnd.remaining.vertices}")
-    t = s.terminal
-    print(f"  terminal edge ({t.z1}, {t.z2}) with stages ({t.j1}, {t.j2}); "
+        print(f"  round {j}: peel {leaves}; {hosts}")
+    z1, z2 = s.terminal
+    print(f"  terminal edge ({z1}, {z2}) with stages ({s.stages[z1]}, {s.stages[z2]}); "
           f"restricted evaluation needs depth {s.required_depth}")
-    print(f"  vertex stages (terminal-adjusted): {s.vertex_stages()}\n")
+    print(f"  vertex stages (terminal-adjusted): {s.stages}\n")
 
 
 def main():

@@ -17,7 +17,6 @@ from .embedding import (
 )
 from .errors import (
     DegenerateRadiiError,
-    EmptyRestrictionError,
     InternalConsistencyError,
     ResourceCapError,
     StageFailureError,
@@ -62,7 +61,6 @@ from .scan import ScanConfig, ScanReport, ScanRow, emit_report, scan_interval
 from .trees import (
     PeelRound,
     PeelSchedule,
-    TerminalPair,
     TreeGraph,
     compute_peel_schedule,
     path_tree,
@@ -77,7 +75,6 @@ __all__ = [
     "AtomicMeasure",
     "DegenerateRadiiError",
     "EmbeddingWitness",
-    "EmptyRestrictionError",
     "FeasibilityTables",
     "FieldValues",
     "FrostmanReport",
@@ -97,7 +94,6 @@ __all__ = [
     "SearchResult",
     "StageFailureError",
     "StageStats",
-    "TerminalPair",
     "TreeConfigError",
     "TreeGraph",
     "ValidationError",

@@ -13,13 +13,7 @@ import json
 import sys
 
 from .embedding import DEFAULT_NODE_BUDGET, extract_embedding, feasibility_dp
-from .errors import (
-    EmptyRestrictionError,
-    ResourceCapError,
-    StageFailureError,
-    TreeConfigError,
-    ValidationError,
-)
+from .errors import ResourceCapError, StageFailureError, TreeConfigError, ValidationError
 from .integrals import DEFAULT_TERM_CAP, integral_bruteforce, integral_peel
 from .kernels import KernelParams
 from .measures import (
@@ -59,7 +53,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_frostman(args) -> int:
     mu = AtomicMeasure.load(args.measure)
-    radii = [float(r) for r in args.radii.split(",")]
+    try:
+        radii = [float(r) for r in args.radii.split(",")]
+    except ValueError:
+        raise ValidationError(f"--radii must be numbers, got {args.radii!r}") from None
     report = estimate_frostman(mu, args.centers, radii, seed=args.seed)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
@@ -204,7 +201,7 @@ def run_pipeline(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, EmptyRestrictionError) as exc:
+    except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageFailureError as exc:

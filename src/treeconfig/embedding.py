@@ -42,7 +42,7 @@ class FeasibilityTables:
     tree: TreeGraph
     params: KernelParams
     order: list[int]
-    parent: dict[int, int | None]
+    parent: list[int | None]
     children: dict[int, list[int]]
     hosts: dict[int, np.ndarray]
     graph: AnnulusGraph
@@ -96,21 +96,10 @@ def feasibility_dp(
     is, so any subtree folds onto any edge. graph is mu's annulus graph at
     params, built when not given.
     """
-    adj = tree.adjacency()
-    order = [0]
-    parent: dict[int, int | None] = {0: None}
+    order, parent = tree.bfs()
     children: dict[int, list[int]] = {v: [] for v in range(tree.n_vertices)}
-    seen = {0}
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                children[v].append(u)
-                order.append(u)
+    for v in order[1:]:
+        children[parent[v]].append(v)
 
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)

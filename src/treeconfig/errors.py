@@ -19,10 +19,6 @@ class ResourceCapError(TreeConfigError):
     """A configured size cap would be exceeded; message names the cap."""
 
 
-class EmptyRestrictionError(TreeConfigError):
-    """A measure restriction kept no atoms (failed pigeonhole stage upstream)."""
-
-
 class StageFailureError(TreeConfigError):
     """A pigeonhole stage produced a zero-mass field.
 

@@ -15,7 +15,7 @@ the vertex. The peel evaluator eliminates vertices along a leaf-peeling
 schedule, accumulating per-vertex message fields, and reorganizes exactly
 the same sum, so the two agree to float reassociation error. With a nested
 good-set chain supplied, each vertex v integrates against mu with zero
-weight off stage schedule.vertex_stages()[v], which equals brute force
+weight off stage schedule.stages[v], which equals brute force
 computed with each vertex's measure replaced by its stage restriction.
 Adding an exact 0.0 leaves a float sum unchanged, so every message stays a
 mat-vec on the one annulus graph of the scale.
@@ -162,7 +162,7 @@ def integral_peel(
 
     Unrestricted (good_chain=None) this reorganizes the brute-force sum
     exactly. With a chain, vertex v integrates against mu with zero weight
-    off stage schedule.vertex_stages()[v]; the chain must have depth >=
+    off stage schedule.stages[v]; the chain must have depth >=
     schedule.required_depth and matching parameters. graph is mu's annulus
     graph at params, built when not given; every message is a mat-vec on
     the whole of it, since the zero weights drop out of its sums exactly.
@@ -188,11 +188,11 @@ def integral_peel(
     def field(values: np.ndarray) -> np.ndarray:
         return annulus_sums(mu.atoms, values, mu.atoms, params, graph) * params.weight
 
-    stages = schedule.vertex_stages()
+    stages = schedule.stages
     if restricted:
-        weights = {v: good_chain.on_stage(s, mu.weights) for v, s in stages.items()}
+        weights = [good_chain.on_stage(s, mu.weights) for s in stages]
     else:
-        weights = dict.fromkeys(stages, mu.weights)
+        weights = [mu.weights] * len(stages)
         pure = field(mu.weights)
 
     # message[v][a]: product of eliminated-subtree factors with v at atom a;
@@ -221,15 +221,15 @@ def integral_peel(
     def vertex_values(v: int) -> np.ndarray:
         return weights[v] * messages[v] if v in messages else weights[v]
 
-    term = schedule.terminal
-    rows = good_chain.stage_indices(stages[term.z2]) if restricted else slice(None)
-    inner = field(vertex_values(term.z1))
+    z1, z2 = schedule.terminal
+    rows = good_chain.stage_indices(stages[z2]) if restricted else slice(None)
+    inner = field(vertex_values(z1))
     # z2's stage lies inside stage stages[z1] + 1, whose field the chain holds
-    pure_term = good_chain.fields[stages[term.z1]] if restricted else pure
+    pure_term = good_chain.fields[stages[z1]] if restricted else pure
     stage_log.append(
         StageStats("terminal", float(pure_term[rows].min()), float(pure_term[rows].max()))
     )
-    value = finite_fsum((inner * vertex_values(term.z2))[rows], "configuration integral")
+    value = finite_fsum((inner * vertex_values(z2))[rows], "configuration integral")
     return IntegralResult(value=value, method="peel", stage_log=stage_log, params=params)
 
 

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    DegenerateRadiiError,
-    EmptyRestrictionError,
-    ResourceCapError,
-    ValidationError,
-    json_int,
-)
+from .errors import DegenerateRadiiError, ResourceCapError, ValidationError, json_int
 from .rng import SplitMix64
 
 DEFAULT_ATOM_CAP = 10**6
@@ -290,7 +284,7 @@ def restrict_measure(mu: AtomicMeasure, keep) -> AtomicMeasure:
     """Measure restricted to the kept atom indices; weights are NOT renormalized."""
     keep = np.unique(np.asarray(keep, dtype=np.int64))
     if keep.size == 0:
-        raise EmptyRestrictionError("restriction kept no atoms")
+        raise ValidationError("restriction kept no atoms")
     if keep[0] < 0 or keep[-1] >= len(mu):
         raise ValidationError("keep indices out of range")
     return AtomicMeasure(
@@ -315,6 +309,8 @@ def estimate_frostman(
     against log r over all samples with positive mass.
     """
     radii = sorted(set(float(r) for r in radii))
+    if not all(math.isfinite(r) for r in radii):
+        raise ValidationError("radii must be finite")
     if any(r <= 0 for r in radii):
         raise ValidationError("radii must be strictly positive")
     if len(radii) < 3:

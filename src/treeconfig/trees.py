@@ -2,9 +2,9 @@
 
 A peel schedule removes the current degree-1 vertices round by round,
 recording for each round which host vertex absorbs how many of them, until
-a single edge remains. That terminal edge, together with the per-vertex
-record of the last round each endpoint hosted, is what the configuration
-integral needs to place its final double sum.
+a single edge remains. That terminal edge, together with each vertex's
+stage (the last round it hosted), is what the configuration integral needs
+to place its final double sum.
 """
 
 from __future__ import annotations
@@ -34,6 +34,22 @@ class TreeGraph:
             adj[i].add(j)
             adj[j].add(i)
         return adj
+
+    def bfs(self) -> tuple[list[int], list[int | None]]:
+        """Preorder from vertex 0, neighbours ascending, and each vertex's parent.
+
+        A vertex 0 does not reach is missing from the preorder; it and the
+        root have parent None.
+        """
+        adj = self.adjacency()
+        order = [0]
+        parent: list[int | None] = [None] * self.n_vertices
+        for v in order:  # the loop also visits the vertices it appends
+            for u in sorted(adj[v]):
+                if u != 0 and parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+        return order, parent
 
     def to_dict(self) -> dict:
         return {"n": self.n_vertices, "edges": [list(e) for e in self.edges]}
@@ -91,62 +107,42 @@ def validate_tree(n_vertices: int, edges) -> TreeGraph:
         raise ValidationError(
             f"edge count {len(canon)} != {n_vertices - 1} (vertices - 1)"
         )
+    tree = TreeGraph(n_vertices=n_vertices, edges=tuple(sorted(canon)))
     # edge count is right, so connectivity alone rules out cycles
-    adj = defaultdict(set)
-    for i, j in canon:
-        adj[i].add(j)
-        adj[j].add(i)
-    stack, reached = [0], {0}
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in reached:
-                reached.add(u)
-                stack.append(u)
-    if len(reached) != n_vertices:
-        missing = sorted(set(range(n_vertices)) - reached)
+    order, _ = tree.bfs()
+    if len(order) != n_vertices:
+        missing = sorted(set(range(n_vertices)) - set(order))
         raise ValidationError(f"graph is disconnected (unreached: {missing})")
-    return TreeGraph(n_vertices=n_vertices, edges=tuple(sorted(canon)))
-
-
-@dataclass(frozen=True)
-class SubTree:
-    """A remaining tree on a subset of the original vertex ids."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    return tree
 
 
 @dataclass(frozen=True)
 class PeelRound:
-    """One elimination round: removed degree-1 vertices and their hosts.
+    """One elimination round: the peeled degree-1 vertices and their hosts.
 
-    attachments lists (host, multiplicity) pairs, host ids ascending;
-    multiplicities sum to len(isolated). leaf_hosts keeps the per-leaf
-    host, ascending by leaf id.
+    leaf_hosts lists (leaf, host) pairs, ascending by leaf id. attachments
+    lists (host, multiplicity) pairs, host ids ascending; multiplicities sum
+    to len(leaf_hosts).
     """
 
-    isolated: tuple[int, ...]
     attachments: tuple[tuple[int, int], ...]
     leaf_hosts: tuple[tuple[int, int], ...]
-    remaining: SubTree
-
-
-@dataclass(frozen=True)
-class TerminalPair:
-    """Final edge (z1, z2) with the last host round j1 <= j2 of each endpoint."""
-
-    z1: int
-    z2: int
-    j1: int
-    j2: int
 
 
 @dataclass(frozen=True)
 class PeelSchedule:
+    """Peel rounds, the final edge (z1, z2) and the stage of every vertex.
+
+    stages[v] is the last round v hosted, 0 if never, so a leaf peeled in
+    round j has stage j - 1. The terminal ends are ordered so that
+    stages[z1] < stages[z2]: when both last hosted in the same round, z2 is
+    moved one stage deeper.
+    """
+
     tree: TreeGraph
     rounds: tuple[PeelRound, ...]
-    terminal: TerminalPair
+    terminal: tuple[int, int]
+    stages: tuple[int, ...]
 
     @property
     def n_rounds(self) -> int:
@@ -155,21 +151,7 @@ class PeelSchedule:
     @property
     def required_depth(self) -> int:
         """Nested-stage depth the restricted integral needs: the deepest vertex stage."""
-        return max(self.vertex_stages().values())
-
-    def vertex_stages(self) -> dict[int, int]:
-        """Stage per original vertex: the last round it hosted, 0 if never.
-
-        When both terminal endpoints share a stage, z2 is moved one stage
-        deeper. A leaf peeled in round j has stage j - 1.
-        """
-        stages = {v: 0 for v in range(self.tree.n_vertices)}
-        for j, rnd in enumerate(self.rounds, start=1):
-            for host, _ in rnd.attachments:
-                stages[host] = j
-        if self.terminal.j1 == self.terminal.j2:
-            stages[self.terminal.z2] += 1
-        return stages
+        return max(self.stages)
 
 
 def compute_peel_schedule(tree: TreeGraph) -> PeelSchedule:
@@ -177,53 +159,33 @@ def compute_peel_schedule(tree: TreeGraph) -> PeelSchedule:
 
     Each round removes every current degree-1 vertex, except that when doing
     so would leave fewer than 2 vertices, the lowest-id leaf is retained so
-    the process always terminates at a single edge.
+    the process always terminates at a single edge. Only a round's hosts can
+    become the next round's leaves, so each vertex is looked at O(1) times
+    and the sorts cost O(n log n) in all.
     """
-    adj = tree.adjacency()
-    alive = set(range(tree.n_vertices))
-    host_stage: dict[int, int] = {}
+    adj = tree.adjacency()  # the live vertices and their live neighbours
+    leaves = [v for v in range(tree.n_vertices) if len(adj[v]) == 1]
+    stages = [0] * tree.n_vertices
     rounds: list[PeelRound] = []
-
-    while True:
-        if len(alive) == 2:
-            a, b = sorted(alive)
-            break
-        leaves = sorted(v for v in alive if len(adj[v]) == 1)
-        if len(alive) - len(leaves) < 2:
-            peeled = leaves[1:]  # retain the lowest-id leaf
-        else:
-            peeled = leaves
+    while len(adj) > 2:
+        if len(adj) - len(leaves) < 2:
+            leaves = leaves[1:]  # retain the lowest-id leaf
         counts: dict[int, int] = defaultdict(int)
         leaf_hosts = []
-        for v in peeled:
-            (host,) = adj[v]
+        for v in leaves:
+            (host,) = adj.pop(v)
+            adj[host].discard(v)
             counts[host] += 1
             leaf_hosts.append((v, host))
-        for v, host in leaf_hosts:
-            adj[host].discard(v)
-            del adj[v]
-            alive.discard(v)
-        j = len(rounds) + 1
-        for host in counts:
-            host_stage[host] = j
-        remaining = SubTree(
-            vertices=tuple(sorted(alive)),
-            edges=tuple(
-                sorted((min(v, u), max(v, u)) for v in alive for u in adj[v] if v < u)
-            ),
-        )
-        rounds.append(
-            PeelRound(
-                isolated=tuple(peeled),
-                attachments=tuple(sorted((h, c) for h, c in counts.items())),
-                leaf_hosts=tuple(leaf_hosts),
-                remaining=remaining,
-            )
-        )
+        attachments = tuple(sorted(counts.items()))
+        for host, _ in attachments:
+            stages[host] = len(rounds) + 1
+        rounds.append(PeelRound(attachments=attachments, leaf_hosts=tuple(leaf_hosts)))
+        leaves = [host for host, _ in attachments if len(adj[host]) == 1]
 
-    ja, jb = host_stage.get(a, 0), host_stage.get(b, 0)
-    if ja <= jb:
-        terminal = TerminalPair(z1=a, z2=b, j1=ja, j2=jb)
-    else:
-        terminal = TerminalPair(z1=b, z2=a, j1=jb, j2=ja)
-    return PeelSchedule(tree=tree, rounds=tuple(rounds), terminal=terminal)
+    z1, z2 = sorted(adj, key=lambda v: (stages[v], v))
+    if stages[z1] == stages[z2]:
+        stages[z2] += 1
+    return PeelSchedule(
+        tree=tree, rounds=tuple(rounds), terminal=(z1, z2), stages=tuple(stages)
+    )

@@ -359,6 +359,20 @@ def test_bad_input_exits_2_not_as_a_row_or_a_crash(tmp_path, weights, scan_extra
 
 
 
+@pytest.mark.parametrize(
+    "radii, says",
+    [("a,b,c", "'a,b,c'"), ("0.1,,0.4", "'0.1,,0.4'"), ("0.1,0.2,inf", "finite"),
+     ("0.1,0.2,nan", "finite")],
+)
+def test_frostman_radii_that_are_not_finite_numbers_exit_2(workdir, radii, says, capsys):
+    _, _, measure, _ = workdir
+    argv = ["frostman", "--measure", str(measure), "--centers", "2", "--radii", radii]
+    assert run_pipeline(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert says in err and "Traceback" not in err
+
+
 _EDGE_TREE = {"n": 2, "edges": [[0, 1]]}
 
 

@@ -248,11 +248,7 @@ def test_restricted_peel_equals_per_vertex_restricted_oracle(seed):
     except tc.StageFailureError:
         pytest.skip("no viable field at this seed")
     restricted = tc.integral_peel(mu, sched, p, chain)
-    stages = sched.vertex_stages()
-    per_vertex = [
-        tc.restrict_measure(mu, chain.stage_indices(stages[v]))
-        for v in range(tree.n_vertices)
-    ]
+    per_vertex = [tc.restrict_measure(mu, chain.stage_indices(s)) for s in sched.stages]
     oracle = tc.integral_bruteforce(per_vertex, tree, p, term_cap=10**8)
     assert restricted.value == pytest.approx(oracle.value, rel=1e-9, abs=1e-12)
 
@@ -286,10 +282,10 @@ def test_restricted_terminal_log_is_the_field_of_z1s_stage(k, cantor_small):
     p = tc.KernelParams(t=0.45, eps=0.05)
     sched = tc.compute_peel_schedule(tc.path_tree(k))
     chain = tc.nested_good_sets(cantor_small, p, sched.required_depth)
-    stages, term = sched.vertex_stages(), sched.terminal
-    weights = chain.on_stage(stages[term.z1], cantor_small.weights)
+    (z1, z2), stages = sched.terminal, sched.stages
+    weights = chain.on_stage(stages[z1], cantor_small.weights)
     source = replace(cantor_small, weights=weights)
-    ref = tc.convolve_field(source, p).values[chain.stage_indices(stages[term.z2])]
+    ref = tc.convolve_field(source, p).values[chain.stage_indices(stages[z2])]
     log = tc.integral_peel(cantor_small, sched, p, chain).stage_log[-1]
     assert (log.factor_min, log.factor_max) == (ref.min(), ref.max())
 

@@ -92,8 +92,7 @@ def test_restricted_peel_equals_per_vertex_oracle_on_lattices(d):
         except tc.StageFailureError:
             continue
         depths.append(chain.depth)
-        stages = sched.vertex_stages()
-        per_vertex = [tc.restrict_measure(mu, chain.stage_indices(stages[v])) for v in stages]
+        per_vertex = [tc.restrict_measure(mu, chain.stage_indices(s)) for s in sched.stages]
         oracle = tc.integral_bruteforce(per_vertex, tree, params).value
         peel = tc.integral_peel(mu, sched, params, chain).value
         assert peel == pytest.approx(oracle, rel=1e-9, abs=0.0)

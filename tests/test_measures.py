@@ -208,7 +208,7 @@ def test_restrict_identity_and_single():
 
 def test_restrict_errors():
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
-    with pytest.raises(tc.EmptyRestrictionError):
+    with pytest.raises(tc.ValidationError, match="kept no atoms"):
         tc.restrict_measure(mu, [])
     with pytest.raises(tc.ValidationError):
         tc.restrict_measure(mu, [0, 7])
@@ -293,6 +293,14 @@ def test_frostman_validation_and_degenerate():
     hollow = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.0, 0.0])
     with pytest.raises(tc.DegenerateRadiiError):
         tc.estimate_frostman(hollow, 2, [0.1, 0.2, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_frostman_rejects_non_finite_radii(bad):
+    # an infinite radius once reached np.polyfit and failed there with an SVD error
+    mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
+    with pytest.raises(tc.ValidationError, match="finite"):
+        tc.estimate_frostman(mu, 2, [0.1, 0.2, bad])
 
 
 def test_ifs_json_roundtrip():

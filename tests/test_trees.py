@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ def test_edges_canonicalized():
 def test_peel_single_edge():
     s = tc.compute_peel_schedule(tc.path_tree(1))
     assert s.rounds == ()
-    assert (s.terminal.z1, s.terminal.z2) == (0, 1)
-    assert (s.terminal.j1, s.terminal.j2) == (0, 0)
+    assert s.terminal == (0, 1)
+    assert s.stages == (0, 1)  # neither end hosted; the shared stage 0 pushes z2 to 1
     assert s.required_depth == 1
 
 
@@ -56,22 +57,22 @@ def test_peel_star4_trace():
     # stays so a terminal edge remains
     s = tc.compute_peel_schedule(tc.star_tree(3))
     assert len(s.rounds) == 1
-    assert s.rounds[0].isolated == (2, 3)
+    assert s.rounds[0].leaf_hosts == ((2, 0), (3, 0))
     assert s.rounds[0].attachments == ((0, 2),)
-    assert {s.terminal.z1, s.terminal.z2} == {0, 1}
-    assert (s.terminal.j1, s.terminal.j2) == (0, 1)
+    assert s.terminal == (1, 0)  # the retained leaf never hosted, the center did in round 1
+    assert s.stages == (1, 0, 0, 0)
 
 
 def test_peel_path5_trace():
     s = tc.compute_peel_schedule(tc.path_tree(4))
     assert len(s.rounds) == 2
-    assert s.rounds[0].isolated == (0, 4)
+    assert s.rounds[0].leaf_hosts == ((0, 1), (4, 3))
     assert s.rounds[0].attachments == ((1, 1), (3, 1))
-    assert s.rounds[0].remaining.vertices == (1, 2, 3)
-    assert s.rounds[1].isolated == (3,)
+    # round 1 leaves 1-2-3: round 2 peels 3, and 1-2 is the terminal edge
+    assert s.rounds[1].leaf_hosts == ((3, 2),)
     assert s.rounds[1].attachments == ((2, 1),)
-    assert (s.terminal.z1, s.terminal.z2) == (1, 2)
-    assert (s.terminal.j1, s.terminal.j2) == (1, 2)
+    assert s.terminal == (1, 2)
+    assert s.stages == (0, 1, 2, 1, 0)
     assert s.required_depth == 2
 
 
@@ -80,36 +81,51 @@ def test_peel_dumbbell_shared_stage():
     s = tc.compute_peel_schedule(tree)
     assert len(s.rounds) == 1
     assert s.rounds[0].attachments == ((0, 2), (1, 2))
-    assert (s.terminal.j1, s.terminal.j2) == (1, 1)
+    assert s.terminal == (0, 1)
     assert s.required_depth == 2  # coinciding stages push z2 one deeper
-    stages = s.vertex_stages()
-    assert stages[s.terminal.z2] == 2 and stages[s.terminal.z1] == 1
+    assert s.stages == (1, 2, 0, 0, 0, 0)
 
 
-def _rounds_by_simulation(tree: tc.TreeGraph) -> int:
-    # independent re-simulation of the peeling loop, counting rounds only
+def _rounds_by_simulation(tree: tc.TreeGraph):
+    """Independent re-simulation of the peeling loop, rescanning every live vertex.
+
+    Returns each round's (leaf, host) pairs and the terminal pair (z1, z2),
+    ordered by the last round each end hosted, then by id.
+    """
     adj = {v: set() for v in range(tree.n_vertices)}
     for i, j in tree.edges:
         adj[i].add(j)
         adj[j].add(i)
-    rounds = 0
+    rounds, hosted = [], {}
     while len(adj) > 2:
         leaves = sorted(v for v in adj if len(adj[v]) == 1)
         if len(adj) - len(leaves) < 2:
             leaves = leaves[1:]
-        for v in leaves:
-            (h,) = adj[v]
+        pairs = tuple((v, next(iter(adj[v]))) for v in leaves)
+        for v, h in pairs:
             adj[h].discard(v)
             del adj[v]
-        rounds += 1
-    return rounds
+            hosted[h] = len(rounds) + 1
+        rounds.append(pairs)
+    terminal = tuple(sorted(adj, key=lambda v: (hosted.get(v, 0), v)))
+    return rounds, terminal
 
 
 @pytest.mark.parametrize("k", range(2, 11))
 def test_chain_round_count(k):
     s = tc.compute_peel_schedule(tc.path_tree(k))
     assert s.n_rounds == -(-(k - 1) // 2)  # ceil((k-1)/2)
-    assert s.n_rounds == _rounds_by_simulation(tc.path_tree(k))
+    assert s.n_rounds == len(_rounds_by_simulation(tc.path_tree(k))[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_schedule_matches_simulation_random_trees(seed):
+    rng = np.random.default_rng(500 + seed)
+    tree = random_tree(int(rng.integers(2, 61)), rng)
+    s = tc.compute_peel_schedule(tree)
+    rounds, terminal = _rounds_by_simulation(tree)
+    assert [r.leaf_hosts for r in s.rounds] == rounds
+    assert s.terminal == terminal
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -118,33 +134,64 @@ def test_schedule_invariants_random_trees(seed):
     n = int(rng.integers(2, 12))
     tree = random_tree(n, rng)
     s = tc.compute_peel_schedule(tree)
+    z1, z2 = s.terminal
 
-    # every vertex appears in exactly one round or in the terminal pair
-    seen = [v for r in s.rounds for v in r.isolated]
-    seen += [s.terminal.z1, s.terminal.z2]
-    assert sorted(seen) == list(range(n))
+    # every vertex is peeled in exactly one round or is a terminal end
+    seen = [v for r in s.rounds for v, _ in r.leaf_hosts]
+    assert sorted(seen + [z1, z2]) == list(range(n))
 
-    # multiplicities add up and hosts survive their own round
-    for r in s.rounds:
-        assert sum(m for _, m in r.attachments) == len(r.isolated)
-        for host, _ in r.attachments:
-            assert host in r.remaining.vertices
-
-    # replay: deleting rounds' vertices reproduces each stored remaining tree
+    # replay the rounds from leaf_hosts on the tree's edges
     alive = set(range(n))
     edges = set(tree.edges)
-    for r in s.rounds:
+    hosted = [0] * n
+    for j, r in enumerate(s.rounds, start=1):
+        leaves = [v for v, _ in r.leaf_hosts]
+        assert leaves == sorted(leaves)
+        for v, host in r.leaf_hosts:
+            # a peeled vertex is a live leaf, hanging off its host
+            assert [e for e in edges if v in e] == [tuple(sorted((v, host)))]
+            hosted[host] = j
+        # multiplicities add up, hosts ascending
+        assert sum(m for _, m in r.attachments) == len(r.leaf_hosts)
+        assert r.attachments == tuple(
+            (h, sum(1 for _, g in r.leaf_hosts if g == h))
+            for h in sorted({h for _, h in r.leaf_hosts})
+        )
         prev = len(alive)
-        alive -= set(r.isolated)
+        alive -= set(leaves)
         assert len(alive) < prev  # strictly decreasing
+        # hosts survive their own round
+        assert all(host in alive for host, _ in r.attachments)
         edges = {e for e in edges if e[0] in alive and e[1] in alive}
-        assert r.remaining.vertices == tuple(sorted(alive))
-        assert r.remaining.edges == tuple(sorted(edges))
-        # remaining is itself a tree (or the terminal edge)
+        # what remains is itself a tree (or the terminal edge)
         assert len(edges) == len(alive) - 1
+    assert alive == {z1, z2} and edges == {tuple(sorted((z1, z2)))}
 
-    assert s.terminal.j1 <= s.terminal.j2 <= s.n_rounds
-    assert s.required_depth >= 1
+    # stages: the last round each vertex hosted, z2 one deeper on a tie
+    assert hosted[z1] <= hosted[z2] <= s.n_rounds
+    if hosted[z1] == hosted[z2]:
+        hosted[z2] += 1
+    assert s.stages == tuple(hosted)
+    assert s.stages[z1] < s.stages[z2]
+    assert s.required_depth == max(s.stages) >= 1
+
+
+@pytest.mark.parametrize("shape", ["path", "pruefer"])
+def test_large_trees_schedule_quickly(shape):
+    # peeling tracks leaves round to round; rescanning every live vertex per
+    # round took about 100 s on the 20,000-vertex path
+    n = 20_000
+    if shape == "path":
+        tree = tc.path_tree(n - 1)
+    else:
+        tree = random_tree(n, np.random.default_rng(20))
+    start = time.perf_counter()
+    s = tc.compute_peel_schedule(tree)
+    assert time.perf_counter() - start < 2.0
+    assert sum(len(r.leaf_hosts) for r in s.rounds) == n - 2
+    if shape == "path":
+        # n - 1 = 19,999 edges: ceil(19,998 / 2) rounds, z2 pushed one deeper
+        assert s.n_rounds == 9_999 and s.required_depth == 10_000
 
 
 def test_tree_json_roundtrip(tmp_path):
