@@ -69,56 +69,3 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnulusGraph",
-    "AtomicMeasure",
-    "DegenerateRadiiError",
-    "EmbeddingWitness",
-    "FeasibilityTables",
-    "FieldValues",
-    "FrostmanReport",
-    "GoodSet",
-    "GoodSetChain",
-    "IFSSpec",
-    "IntegralResult",
-    "InternalConsistencyError",
-    "KernelParams",
-    "LevelProfile",
-    "PeelRound",
-    "PeelSchedule",
-    "ResourceCapError",
-    "ScanConfig",
-    "ScanReport",
-    "ScanRow",
-    "SearchResult",
-    "StageFailureError",
-    "StageStats",
-    "TreeConfigError",
-    "TreeGraph",
-    "ValidationError",
-    "annulus_sums",
-    "ball_mass",
-    "build_ifs_measure",
-    "chain_neighborhood_mass",
-    "chebyshev_profile",
-    "compute_peel_schedule",
-    "convolve_field",
-    "emit_report",
-    "estimate_frostman",
-    "extract_embedding",
-    "feasibility_dp",
-    "field_norms",
-    "good_set",
-    "integral_bruteforce",
-    "integral_peel",
-    "kernel_weight",
-    "nested_good_sets",
-    "pair_distance",
-    "path_tree",
-    "restrict_measure",
-    "scan_interval",
-    "star_tree",
-    "validate_tree",
-    "verify_witness",
-]

@@ -10,31 +10,38 @@ too). An `AnnulusGraph` holds the atom pairs that pass it at one scale as a
 symmetric sparse matrix (rows ascending, column indices sorted); fields,
 chain stages, peel messages and host tables are mat-vecs on it at the atoms
 they sum over, each accumulating in ascending atom order. Restricting to a
-subset of atoms zeroes the weights off it; no graph is sliced. A scan makes
-one k-d pass: `upper_pairs` keeps the pairs i < j from its smallest inner to
-its largest outer radius, and each scale's graph is an exact mask of them.
+subset of atoms zeroes the weights off it; no graph is sliced.
+
+One routine finds pairs, `_annulus_pairs`: it bins the atoms on a uniform
+grid of cells at least as wide as the outer radius and compares each cell's
+atoms densely with those of its 3^d neighbour cells (the cell-list method
+for fixed-radius near neighbours). A graph build is one such pass; a scan
+makes one at the envelope of its grid, from the smallest inner to the
+largest outer radius, and each scale's graph is an exact mask of it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import ResourceCapError, ValidationError
 from .measures import AtomicMeasure, finite_fsum, pair_distance
 
-# Candidate pairs one k-d pass (a graph build, or a scan's envelope) may
-# examine, which bounds the pairs it stores: 4096^2, so 4096 atoms always fit.
+# Pairs one pass (a graph build, or a scan's envelope) may examine, counted
+# from its cells before any distance is computed; it bounds the pairs the pass
+# stores. A pass examines at most n^2 pairs, so 4096 atoms always fit.
 DEFAULT_PAIR_CAP = 2**24
 
-# cKDTree rounds distances its own way; it searches a slightly larger ball
-# and pair_distance alone decides membership.
-_RADIUS_PAD = 1e-9
-# Candidate pairs per block of rows, which bounds the build's temporary memory.
-_BLOCK_PAIRS = 2**14
+# Atoms per grid cell the pass aims at where the annulus allows cells that
+# small: smaller cells examine fewer pairs outside it, larger ones make fewer blocks.
+_CELL_ATOMS = 32
+# Distances evaluated per dense chunk, which bounds the pass's temporary memory.
+_CHUNK_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -114,19 +121,17 @@ class AnnulusGraph:
 
     @classmethod
     def build(cls, points, params: KernelParams) -> "AnnulusGraph":
-        """Graph of the atoms at params, from one k-d pass over both triangles."""
+        """Graph of the atoms at params, from one pass of _annulus_pairs."""
         points = np.asarray(points, dtype=float)
         return cls(_annulus_pairs(points, params.inner, params.outer), params)
 
     @classmethod
-    def band(cls, upper: sparse.csr_matrix, params: KernelParams) -> "AnnulusGraph":
-        """build()'s graph of the atoms at params, masked from upper_pairs of a wider annulus.
+    def band(cls, envelope: sparse.csr_matrix, params: KernelParams) -> "AnnulusGraph":
+        """build()'s graph of the atoms at params, masked from _annulus_pairs of a wider annulus.
 
-        Exact entry for entry: pair_distance is symmetric, inner > 0 keeps the
-        diagonal out, and the sum of two canonical CSRs is canonical.
+        Exact entry for entry, since both test pair_distance with the closed test.
         """
-        u = _in_annulus(upper, params)
-        return cls((u + u.T).tocsr(), params)
+        return cls(_in_annulus(envelope, params), params)
 
     def within(self, params: KernelParams) -> "AnnulusGraph":
         """The graph of a nested, no wider annulus, filtered from this one (self if equal)."""
@@ -148,38 +153,73 @@ def _in_annulus(pairs: sparse.csr_matrix, params: KernelParams) -> sparse.csr_ma
     return sparse.csr_matrix(kept, shape=pairs.shape)
 
 
-def upper_pairs(points: np.ndarray, inner: float, outer: float) -> sparse.csr_matrix:
-    """Distance-valued CSR of the atom pairs i < j with inner <= pair_distance <= outer."""
-    return _annulus_pairs(points, inner, outer, upper=True)
+def _annulus_pairs(points, inner, outer) -> sparse.csr_matrix:
+    """Distance-valued symmetric CSR of the atom pairs with inner <= pair_distance <= outer.
 
-
-def _annulus_pairs(points, inner, outer, upper=False) -> sparse.csr_matrix:
-    """Distance-valued CSR of the atom pairs in [inner, outer]; upper: column id > row id."""
-    radius = outer * (1.0 + _RADIUS_PAD)
-    tree = cKDTree(points)
-    candidates = int(tree.count_neighbors(tree, radius))
-    if candidates > DEFAULT_PAIR_CAP:
+    Rows follow the atom ids, each row's columns ascending. Each cell of
+    `_grid` is compared densely, in chunks, with the atoms of its 3^d
+    neighbour cells; its rows are then moved to their atoms' places.
+    """
+    n = len(points)
+    order, bounds, runs = _grid(points, outer)
+    examined = int(np.diff(bounds) @ (runs[:, :, 1] - runs[:, :, 0]).sum(axis=1))
+    if examined > DEFAULT_PAIR_CAP:
         raise ResourceCapError(
-            f"annulus graph needs {candidates} candidate pairs, over the cap of {DEFAULT_PAIR_CAP}"
+            f"annulus graph needs {examined} candidate pairs, over the cap of {DEFAULT_PAIR_CAP}"
         )
-    # blocks of contiguous row ids: each block's pairs, sorted, are its CSR rows
-    step = max(1, len(points) * _BLOCK_PAIRS // max(candidates, 1))
-    counts, indices, data = [[0]], [np.empty(0, np.int32)], [np.empty(0)]
-    for start in range(0, len(points), step):
-        block = points[start : start + step]
-        found = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
-        r, c = found["i"], found["j"]
-        if upper:
-            above = c > r + start
-            r, c = r[above], c[above]
-        d = pair_distance(np.take(block, r, axis=0), np.take(points, c, axis=0))
-        keep = np.flatnonzero((d >= inner) & (d <= outer))
-        keep = keep[np.argsort(r[keep] * len(points) + c[keep])]
-        counts.append(np.bincount(r[keep], minlength=len(block)))
-        indices.append(c[keep].astype(np.int32))
-        data.append(d[keep])
+    counts, indices, data = [np.zeros(1, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
+    for cell, stencil in enumerate(runs.tolist()):
+        rows = order[bounds[cell] : bounds[cell + 1]]
+        cols = np.sort(np.concatenate([order[a:b] for a, b in stencil]))
+        step = max(1, _CHUNK_PAIRS // max(1, len(cols)))
+        for first in range(0, len(rows), step):
+            chunk = rows[first : first + step]
+            d = pair_distance(points[chunk, None, :], points[cols])
+            i, j = np.nonzero((d >= inner) & (d <= outer))
+            counts.append(np.bincount(i, minlength=len(chunk)))
+            indices.append(cols[j].astype(np.int32))
+            data.append(d[i, j])
     kept = (np.concatenate(data), np.concatenate(indices), np.cumsum(np.concatenate(counts)))
-    return sparse.csr_matrix(kept, shape=(len(points), len(points)))
+    pairs = sparse.csr_matrix(kept, shape=(n, n))
+    # row k of pairs belongs to atom order[k]
+    return pairs if len(runs) == 1 else pairs[np.argsort(order)]
+
+
+def _grid(points, outer):
+    """(order, bounds, runs): the atom ids cell by cell, each cell's ascending.
+
+    Cell c holds order[bounds[c]:bounds[c + 1]], and its 3^d neighbour cells
+    order[a:b] over its runs (a, b) = runs[c, r]. A cell is at least outer
+    wide on every axis, past the rounding of the atoms' cell coordinates, so
+    a pair within outer is at most one cell apart on each axis.
+    """
+    n, d = points.shape
+    one_cell = np.arange(n), np.array([0, n]), np.array([[[0, n]]])
+    if n * n <= _CHUNK_PAIRS:  # binning costs more than it saves when all pairs fit one chunk
+        return one_cell
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    reach = outer + 1e-9 * (outer + span.max())
+    per_axis = math.ceil((n / _CELL_ATOMS) ** (1.0 / d))  # cells of about _CELL_ATOMS atoms
+    cells = np.clip(span // reach, 1, per_axis).astype(np.int64)
+    # bin along at most three axes, so that a cell has at most 27 neighbours
+    axes = np.flatnonzero(cells > 1)[:3]
+    if len(axes) == 0:
+        return one_cell
+    lo, cells, d = lo[axes], cells[axes], len(axes)
+    side = np.maximum(span[axes] / cells, reach)
+    # coordinates 1..cells, inside a border of empty cells
+    coords = np.minimum(((points[:, axes] - lo) / side).astype(np.int64), cells - 1) + 1
+    strides = np.append(np.cumprod(cells[:0:-1] + 2)[::-1], 1)
+    keys = coords @ strides
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    # a cell's neighbours are 3^(d-1) runs of 3 consecutive keys along the last axis
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
+    centres = keys[first, None] + offsets @ strides[:-1]
+    runs = [np.searchsorted(keys, centres - 1), np.searchsorted(keys, centres + 1, "right")]
+    return order, np.append(first, n), np.stack(runs, axis=-1)
 
 
 def annulus_sums(

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateRadiiError, ResourceCapError, ValidationError, json_int
 from .rng import SplitMix64
@@ -95,12 +94,17 @@ class IFSSpec:
                 raise ValidationError("probabilities must sum to 1 within 1e-12")
 
     def similarity_dimension(self) -> float:
-        """The unique s >= 0 with sum_i ratio_i^s = 1."""
-        ratios = np.array([r for r, _ in self.maps])
+        """The unique s >= 0 with sum_i ratio_i^s = 1, by bisection: the sum falls strictly in s."""
+        ratios = [r for r, _ in self.maps]
         if len(ratios) == 1:
             return 0.0
-        hi = math.log(len(ratios)) / math.log(1.0 / ratios.max()) + 1.0
-        return float(brentq(lambda s: np.sum(ratios**s) - 1.0, 0.0, hi))
+        lo, hi = 0.0, math.log(len(ratios)) / math.log(1.0 / max(ratios)) + 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # until the midpoint rounds to an end
+            if math.fsum(r**mid for r in ratios) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        return mid
 
     def to_dict(self) -> dict:
         return {
@@ -260,10 +264,11 @@ def pair_distance(a, b) -> np.ndarray:
     sqrt of the squared direct coordinate differences, summed in coordinate
     order. Symmetric by construction, since (a - b)^2 == (b - a)^2 exactly.
     """
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    sq = diff[..., 0] * diff[..., 0]
-    for k in range(1, diff.shape[-1]):
-        sq = sq + diff[..., k] * diff[..., k]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sq = 0.0  # 0.0 + x is x exactly for a square x
+    for k in range(a.shape[-1]):  # each coordinate's difference broadcasts over whole rows
+        diff = a[..., k] - (b if b.ndim == 0 else b[..., k])
+        sq = sq + diff * diff
     return np.sqrt(sq)
 
 

@@ -14,10 +14,11 @@ is only recorded), iterate in a fixed order and write CSV floats as
 shortest round-trip decimals, so identical configs produce byte-identical
 outputs.
 
-The scan examines each candidate pair once: one k-d pass keeps the pairs
-from the t-grid's smallest eps0 inner radius to its largest outer one, each
-t's eps0 graph is masked from them, and each smaller eps filters the graph
-of the one before (`AnnulusGraph.within`); the feasibility DP and the
+The scan examines each candidate pair once: one pass of the pair routine
+keeps the pairs, both triangles, from the t-grid's smallest eps0 inner
+radius to its largest outer one (the envelope); each t's eps0 graph is
+masked from them (`AnnulusGraph.band`), and each smaller eps filters the
+graph of the one before (`AnnulusGraph.within`); the feasibility DP and the
 witness search run on the ladder's last graph. Each grid point computes its
 stage-1 field once: the scan takes the norms from it and hands it to the
 chain, and the chain keeps every stage's field, zero off its stage, for the
@@ -41,7 +42,7 @@ from scipy import sparse
 from .embedding import DEFAULT_NODE_BUDGET, extract_embedding, feasibility_dp
 from .errors import ResourceCapError, StageFailureError, ValidationError
 from .integrals import IntegralResult, integral_peel
-from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms, upper_pairs
+from .kernels import AnnulusGraph, KernelParams, _annulus_pairs, convolve_field, field_norms
 from .measures import DEFAULT_ATOM_CAP, AtomicMeasure, IFSSpec, build_ifs_measure
 from .pigeonhole import nested_good_sets
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule
@@ -268,7 +269,7 @@ def scan_interval(
     t_values = config.t_values
     annuli = [KernelParams(t=float(t), eps=float(config.eps0)) for t in t_values]
     try:
-        envelope = upper_pairs(mu.atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
+        envelope = _annulus_pairs(mu.atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
     except ResourceCapError:
         envelope = None
     per_t = [_scan_one_t(t, config, mu, tree, schedule, envelope) for t in t_values]

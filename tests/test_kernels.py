@@ -1,13 +1,18 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treeconfig as tc
 from conftest import naive_field
-from treeconfig.kernels import upper_pairs
+from treeconfig.kernels import _annulus_pairs
 
 
 def test_kernel_weight_center_and_outside():
@@ -188,6 +193,101 @@ def test_annulus_graph_pair_cap(monkeypatch):
         tc.AnnulusGraph.build(atoms, tc.KernelParams(t=0.5, eps=0.1))
 
 
+@pytest.mark.parametrize("n", [100, 3000])
+def test_pair_cap_counts_examined_pairs_before_any_distance(monkeypatch, n):
+    # 100 atoms are one cell (n^2 pairs); 3000 spread over many cells, whose
+    # stencils examine fewer than n^2 pairs
+    atoms = np.random.default_rng(7).random((n, 2))
+    params = tc.KernelParams(t=0.05, eps=0.01)
+    distances = []
+
+    def counted(a, b):
+        distances.append(1)
+        return tc.pair_distance(a, b)
+
+    monkeypatch.setattr("treeconfig.kernels.pair_distance", counted)
+    monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", 50)
+    with pytest.raises(tc.ResourceCapError, match="cap of 50") as exc:
+        tc.AnnulusGraph.build(atoms, params)
+    assert not distances
+    examined = int(re.search(r"needs (\d+) candidate pairs", str(exc.value)).group(1))
+    assert examined == n * n if n == 100 else examined < n * n / 10
+    monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", examined - 1)
+    with pytest.raises(tc.ResourceCapError):
+        tc.AnnulusGraph.build(atoms, params)
+    assert not distances
+    monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", examined)
+    graph = tc.AnnulusGraph.build(atoms, params)
+    assert distances and graph.pairs.nnz > 0
+
+
+def test_import_loads_no_scipy_beyond_sparse():
+    code = (
+        "import sys, treeconfig, treeconfig.cli; "
+        "print([m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules])"
+    )
+    src = str(Path(tc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def _dense_pairs(points, inner, outer):
+    """The CSR arrays of every pair's pair_distance masked by the closed test, row-major."""
+    dist = tc.pair_distance(points[:, None, :], points[None, :, :])
+    rows, cols = np.nonzero((dist >= inner) & (dist <= outer))
+    return np.searchsorted(rows, np.arange(len(points) + 1)), cols, dist[rows, cols]
+
+
+@st.composite
+def pair_inputs(draw):
+    """Shuffled atoms in d = 1-3, some duplicated, and an annulus of any width.
+
+    lattice: atoms and radii on multiples of one step, so many pairs lie on
+    the annulus boundaries; offset: a 1e-3 lattice shifted by 10^6, whose
+    coordinates round at 1e-10; uniform: random atoms.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 400))  # up to 256 atoms are one cell
+    kind = draw(st.sampled_from(["lattice", "offset", "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        atoms = rng.random((n, d))
+        inner = draw(st.floats(0.001, 0.5))
+        outer = inner + draw(st.sampled_from([0.001, 0.02, 0.2, 1.0]))
+    else:
+        step = 1e-3 if kind == "offset" else draw(st.sampled_from([0.1, 0.125, 0.05]))
+        atoms = rng.integers(0, 11, size=(n, d)) * step + (1e6 if kind == "offset" else 0.0)
+        k = draw(st.integers(1, 10))
+        inner, outer = draw(st.integers(0, k - 1)) * step, k * step
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    atoms[dup] = atoms[rng.integers(0, n, size=dup.sum())]
+    return atoms[rng.permutation(n)], inner, outer
+
+
+def _twelve_dimensional_lattice():
+    """100 lattice atoms in d = 12, each with 3 neighbours 0.25 away: the grid bins 3 axes."""
+    rng = np.random.default_rng(12)
+    base = rng.integers(0, 5, size=(100, 12)) * 0.25
+    steps = np.eye(12)[rng.integers(0, 12, size=300)] * 0.25
+    return np.concatenate([base, np.tile(base, (3, 1)) + steps])
+
+
+@given(case=pair_inputs())
+@example(case=(_twelve_dimensional_lattice(), 0.2, 0.3))
+@example(case=(np.empty((0, 2)), 0.1, 0.2))
+@settings(max_examples=200, deadline=None)
+def test_annulus_pairs_equal_the_dense_reference(case):
+    atoms, inner, outer = case
+    pairs = _annulus_pairs(atoms, inner, outer)
+    indptr, indices, data = _dense_pairs(atoms, inner, outer)
+    assert np.array_equal(pairs.indptr, indptr)
+    assert np.array_equal(pairs.indices, indices)
+    assert np.array_equal(pairs.data, data)
+
+
 @st.composite
 def lattice_scans(draw):
     """Lattice atoms, some duplicated, and the eps0 annuli of a 2-5 point t-grid."""
@@ -211,14 +311,13 @@ def lattice_scans(draw):
 
 @given(scan=lattice_scans())
 @settings(max_examples=120, deadline=None)
-def test_band_of_the_envelope_is_the_built_graph(scan):
-    # boundary distances, coincident atoms and scipy's sparse sum all meet
-    # here: each t's graph must be build()'s CSR entry for entry, since
-    # extraction walks pairs.indices in stored order
+def test_mask_of_the_symmetric_envelope_is_the_built_graph(scan):
+    # boundary distances and coincident atoms meet here: each t's graph must
+    # be build()'s CSR entry for entry, since extraction walks pairs.indices
+    # in stored order
     atoms, annuli = scan
-    envelope = upper_pairs(atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
-    rows = np.repeat(np.arange(len(atoms)), np.diff(envelope.indptr))
-    assert np.all(envelope.indices > rows)
+    envelope = _annulus_pairs(atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
+    assert (envelope != envelope.T).nnz == 0
     for params in annuli:
         band = tc.AnnulusGraph.band(envelope, params).pairs
         built = tc.AnnulusGraph.build(atoms, params).pairs

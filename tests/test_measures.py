@@ -48,6 +48,24 @@ def test_cantor_product_counts_and_dimension(cantor_small):
     assert spec.similarity_dimension() == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 1 / 3, SMALL_RATIO, 0.47179, 0.5])
+def test_similarity_dimension_of_equal_ratios_to_two_ulps(k, ratio):
+    spec = tc.IFSSpec(d=1, maps=[(ratio, (float(i),)) for i in range(k)], depth=1)
+    exact = math.log(k) / math.log(1 / ratio)
+    assert abs(spec.similarity_dimension() - exact) <= 2 * math.ulp(exact)
+
+
+def test_similarity_dimension_solves_unequal_ratios():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        ratios = rng.uniform(0.05, 0.95, size=int(rng.integers(2, 8))).tolist()
+        spec = tc.IFSSpec(d=1, maps=[(r, (float(i),)) for i, r in enumerate(ratios)], depth=1)
+        s = spec.similarity_dimension()
+        assert abs(math.fsum(r**s for r in ratios) - 1.0) <= 1e-15
+    assert tc.IFSSpec(d=2, maps=[(0.3, (0.0, 0.0))], depth=3).similarity_dimension() == 0.0
+
+
 def test_build_respects_atom_cap():
     spec = product_cantor_spec(SMALL_RATIO, 5)
     with pytest.raises(tc.ResourceCapError, match="1000"):

@@ -4,7 +4,7 @@ import pytest
 
 import treeconfig as tc
 from treeconfig.cli import run_pipeline
-from treeconfig.kernels import upper_pairs
+from treeconfig.kernels import _annulus_pairs
 from treeconfig.scan import CSV_HEADER
 
 
@@ -201,12 +201,12 @@ def test_scan_makes_one_distance_pass(monkeypatch, pair_measure):
 
     def counted(*args):
         passes.append(args)
-        return upper_pairs(*args)
+        return _annulus_pairs(*args)
 
     def no_build(*args, **kwargs):
         raise AssertionError("a scan masks its graphs from the envelope")
 
-    monkeypatch.setattr("treeconfig.scan.upper_pairs", counted)
+    monkeypatch.setattr("treeconfig.scan._annulus_pairs", counted)
     monkeypatch.setattr(tc.AnnulusGraph, "build", no_build)
     config = tc.ScanConfig(t_min=0.5, t_max=1.5, t_steps=5, eps0=0.25, halvings=2)
     report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
@@ -254,8 +254,7 @@ def test_envelope_reaches_the_grid_edges(pair_measure, t_min, t_max, in_annulus)
 
 
 def test_envelope_over_the_pair_cap_caps_every_row(tmp_path, monkeypatch, pair_measure):
-    # the envelope's ball at t_max + eps0 holds all 4 ordered pairs; the
-    # smallest t's ball alone holds 2, so only the envelope is over the cap
+    # a pass over the pair examines its 4 ordered pairs, one over the cap
     monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", 3)
     config = tc.ScanConfig(t_min=0.5, t_max=1.5, t_steps=5, eps0=0.25, halvings=2)
     report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
@@ -277,10 +276,10 @@ def test_grid_beyond_the_diameter_has_an_empty_envelope(tmp_path, monkeypatch, p
     envelopes = []
 
     def kept(*args):
-        envelopes.append(upper_pairs(*args))
+        envelopes.append(_annulus_pairs(*args))
         return envelopes[-1]
 
-    monkeypatch.setattr("treeconfig.scan.upper_pairs", kept)
+    monkeypatch.setattr("treeconfig.scan._annulus_pairs", kept)
     config = tc.ScanConfig(t_min=2.0, t_max=3.0, t_steps=3, eps0=0.25, halvings=1)
     report = tc.scan_interval(config, measure=pair_measure, tree=tc.path_tree(1))
     assert envelopes[0].nnz == 0
