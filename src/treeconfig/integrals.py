@@ -7,18 +7,18 @@ kernel factor to each edge:
             prod_{(i,j) in edges} kernel(x_{a_i} - x_{a_j}) * prod_v w_{a_v}.
 
 Two evaluators are provided. The brute-force one forms every product term
-and is the oracle: it enumerates prefix tuples in blocks and broadcasts the
-remaining vertices as dense tensor axes, so a block holds at most _CHUNK
-terms, and the term_cap check bounds the total. A block is the product of
-k-1 edge factors, each vertex weight folded into the first edge that touches
-the vertex. The peel evaluator eliminates vertices along a leaf-peeling
-schedule, accumulating per-vertex message fields, and reorganizes exactly
-the same sum, so the two agree to float reassociation error. With a nested
-good-set chain supplied, each vertex v integrates against mu with zero
-weight off stage schedule.stages[v], which equals brute force
-computed with each vertex's measure replaced by its stage restriction.
-Adding an exact 0.0 leaves a float sum unchanged, so every message stays a
-mat-vec on the one annulus graph of the scale.
+and is the oracle: with a leaf ordered last, it enumerates prefix tuples in
+blocks and broadcasts the remaining vertices but the leaf as dense tensor
+axes, and one matrix product with the leaf edge's factor forms and sums a
+block's at most _CHUNK terms; the term_cap check bounds the total. Each
+vertex weight is folded into one edge factor. The peel evaluator eliminates
+vertices along a leaf-peeling schedule, accumulating per-vertex message
+fields, and reorganizes exactly the same sum, so the two agree to float
+reassociation error. With a nested good-set chain supplied, each vertex v
+integrates against mu with zero weight off stage schedule.stages[v], which
+equals brute force computed with each vertex's measure replaced by its
+stage restriction. Adding an exact 0.0 leaves a float sum unchanged, so
+every message stays a mat-vec on the one annulus graph of the scale.
 """
 
 from __future__ import annotations
@@ -88,14 +88,19 @@ def integral_bruteforce(
     directly. The number of product terms (product of atom counts) must
     stay under term_cap.
 
-    Every term is formed and summed. The vertices split into a prefix
-    0..s-1 and the longest tail s..k-1 whose tuples number at most
-    _CHUNK. Each block of P prefix tuples becomes one dense tensor of shape
-    (P, n_s, ..., n_{k-1}), the product of k-1 edge factors: each edge's
-    kernel matrix, times the weights of the vertices it is the first edge
-    of, is gathered on its prefix axes and broadcast over its tail axes, so
-    a block holds at most _CHUNK terms and memory stays bounded. Blocks are
-    summed with np.sum, and the block sums with math.fsum.
+    Every term is formed and summed. The vertices are relabelled so that a
+    leaf v is k-1 and its neighbour u is k-2, then split into a prefix
+    0..s-1 and the longest tail s..k-1 whose tuples number at most _CHUNK;
+    the tail always holds v. Each edge's kernel matrix, times the weights
+    of the vertices it is the first edge of, is one factor; the edge (u, v)
+    comes last, so it carries v's weight. For a block of P prefix tuples the
+    k-2 other factors, gathered on their prefix axes and broadcast over
+    their tail axes, give a partial block of shape (P, n_s, ..., n_u), 1/n_v
+    of the block. The matrix product of its rows with the leaf factor, which
+    contracts the u axis, forms each of the block's terms once; a block
+    holds at most _CHUNK terms, so memory stays bounded. When u is a prefix
+    axis the contraction has length 1. Each product is summed with np.sum,
+    and the block sums with math.fsum.
     """
     if len(mu_per_vertex) != tree.n_vertices:
         raise ValidationError(
@@ -104,19 +109,30 @@ def integral_bruteforce(
     dims = {m.d for m in mu_per_vertex}
     if len(dims) != 1:
         raise ValidationError(f"measures live in different dimensions: {sorted(dims)}")
-    counts = [len(m) for m in mu_per_vertex]
-    n_terms = math.prod(counts)
+    n_terms = math.prod(len(m) for m in mu_per_vertex)
     if n_terms > term_cap:
         raise ResourceCapError(
             f"enumeration needs {n_terms} product terms, over the cap of {term_cap}"
         )
 
+    # Relabel so that a leaf v comes last and its neighbour u just before
+    # it, k-1 and k-2; the sum does not change under a relabel.
+    k = tree.n_vertices
+    adj = tree.adjacency()
+    v = max(w for w in range(k) if len(adj[w]) == 1)
+    (u,) = adj[v]
+    order = [w for w in range(k) if w not in (u, v)] + [u, v]
+    label = {w: i for i, w in enumerate(order)}
+    measures = [mu_per_vertex[w] for w in order]
+    counts = [len(m) for m in measures]
+
     # One factor per edge kernel, with its vertex axes in ascending order.
     # Each vertex weight is folded into the first edge that touches it (a
     # tree has at least one edge), so a term is a product of k-1 factors.
+    # The edge (k-2, k-1) sorts last, so it carries v's weight.
     factors, folded = [], set()
-    for i, j in map(sorted, tree.edges):
-        a, b = mu_per_vertex[i], mu_per_vertex[j]
+    for i, j in sorted(tuple(sorted((label[i], label[j]))) for i, j in tree.edges):
+        a, b = measures[i], measures[j]
         dist = pair_distance(a.atoms[:, None, :], b.atoms[None, :, :])
         factor = params.contains(dist) * params.weight
         if i not in folded:
@@ -125,27 +141,35 @@ def integral_bruteforce(
             factor = factor * b.weights[None, :]
         folded.update((i, j))
         factors.append(((i, j), factor))
+    *factors, (_, leaf_factor) = factors
 
     # The tail vertices s..k-1 span a dense block of at most _CHUNK tuples
-    # and 31 axes (a block fits numpy's 32 dimensions); the prefix tuples
-    # are decoded from a linear index, `block` at a time.
-    k = tree.n_vertices
-    s = next(s for s in range(k + 1) if math.prod(counts[s:]) <= _CHUNK and k - s <= 31)
+    # (one row of v when n_v alone exceeds it) and 31 axes; the prefix
+    # tuples are decoded from a linear index, `block` at a time.
+    fits = (s for s in range(k - 1) if math.prod(counts[s:]) <= _CHUNK and k - s <= 31)
+    s = next(fits, k - 1)
     n_prefix, tail_shape = math.prod(counts[:s]), counts[s:]
     block = max(1, _CHUNK // math.prod(tail_shape))
-    strides = [math.prod(counts[v + 1 : s]) for v in range(s)]
+    strides = [math.prod(counts[w + 1 : s]) for w in range(s)]
     chunk_sums = []
     for start in range(0, n_prefix, block):
         lin = np.arange(start, min(start + block, n_prefix), dtype=np.int64)
-        idx = [(lin // strides[v]) % counts[v] for v in range(s)]
+        idx = [(lin // strides[w]) % counts[w] for w in range(s)]
         term = 1.0
         for axes, arr in factors:
             # gather the prefix axes onto the block axis, broadcast the tail axes
-            gathered = arr[tuple(idx[v] for v in axes if v < s)]
+            gathered = arr[tuple(idx[w] for w in axes if w < s)]
             shape = [len(lin) if axes[0] < s else 1]
-            shape += [counts[v] if v in axes else 1 for v in range(s, k)]
+            shape += [counts[w] if w in axes else 1 for w in range(s, k - 1)]
             term = term * gathered.reshape(shape)
-        chunk_sums.append(float(np.sum(term)))
+        # the leaf factor contracts the partial block's u axis: one (rows x n_u)
+        # @ (n_u x n_v) product when u is a tail axis, else one length-1
+        # contraction per prefix tuple; either forms each term once
+        partial = np.broadcast_to(term, [len(lin), *counts[s : k - 1]])
+        batch, inner = (1, counts[k - 2]) if s < k - 1 else (len(lin), 1)
+        leaf = leaf_factor if s < k - 1 else leaf_factor[idx[k - 2]]
+        products = partial.reshape(batch, -1, inner) @ leaf.reshape(batch, inner, -1)
+        chunk_sums.append(float(np.sum(products)))
     return IntegralResult(
         value=math.fsum(chunk_sums), method="oracle", stage_log=[], params=params
     )

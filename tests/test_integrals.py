@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,12 +112,13 @@ def test_bruteforce_equals_literal_sum(instance, chunk):
 @pytest.mark.parametrize(
     "counts, chunk",
     [
+        # a path keeps its order: the leaf 2 (or 1) is last, its neighbour before it
         ([3, 4, 5], 500_000),  # one block, all vertices in the tail
-        ([3, 4, 5], 6),  # tail {2}, one prefix tuple per block
+        ([3, 4, 5], 6),  # tail {2}, the leaf alone: one prefix tuple per block
         ([3, 4, 5], 45),  # tail {1, 2}, two prefix tuples per block
-        ([3, 4, 5], 4),  # every tail too large: prefix-only blocks of 4
-        ([20_000, 2], 1_000),  # skewed: tail {1}, 500 prefix tuples per block
-        ([2, 20_000], 1_000),  # skewed the other way: no tail
+        ([3, 4, 5], 4),  # n_v = 5 > 4: tail {2} still, one row of v per block
+        ([20_000, 2], 1_000),  # skewed: tail {1}, the leaf alone, 500 prefix tuples per block
+        ([2, 20_000], 1_000),  # skewed the other way: tail {1}, one row of v per block
     ],
 )
 def test_bruteforce_prefix_tail_splits(counts, chunk, monkeypatch):
@@ -123,14 +128,19 @@ def test_bruteforce_prefix_tail_splits(counts, chunk, monkeypatch):
 @pytest.mark.parametrize(
     "tree, counts, chunk",
     [
-        (tc.star_tree(3), [3, 4, 5, 2], 25),  # tail {2, 3}, two prefix tuples per block
-        (tc.star_tree(3), [3, 4, 5, 2], 3),  # tail {3}, 60 one-tuple blocks
-        (tc.star_tree(3), [3, 4, 5, 2], 1),  # no tail: every block is one term
-        # edges (0,3) (1,3) (1,4) (2,3): vertex 3 is folded into its first
-        # edge only, vertex 1 into an edge it shares with a folded vertex
-        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 15),  # tail {3, 4}, blocks of 2
-        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 30),  # tail {2, 3, 4}
-        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 5),  # tail {4}, blocks of 2
+        # the star's leaf 3 goes last after its neighbour 0: order 1, 2, 0, 3
+        (tc.star_tree(3), [3, 4, 5, 2], 25),  # tail {0, 3}, four prefix tuples per block
+        (tc.star_tree(3), [3, 4, 5, 2], 3),  # tail {3}, the leaf alone: 60 one-tuple blocks
+        (tc.star_tree(3), [3, 4, 5, 2], 1),  # n_v = 2 > 1: tail {3}, one row of v per block
+        # edges (0,3) (1,3) (1,4) (2,3); the leaf 4 goes last after its
+        # neighbour 1: order 0, 2, 3, 1, 4, so the factors run over (0,3)
+        # (2,3) (3,1) (1,4). Vertex 3 is folded into its first edge only,
+        # vertex 1 into an edge it shares with a folded vertex, 4 into the leaf edge
+        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 15),  # tail {3, 1, 4}, blocks of 1
+        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 30),  # tail {3, 1, 4}, blocks of 2
+        (pruefer_tree([3, 3, 1], 5), [3, 2, 4, 3, 2], 5),  # tail {1, 4}, blocks of 1
+        # the star again, with the leaf 3 alone in the tail and u = 0 a prefix axis
+        (tc.star_tree(3), [6, 4, 5, 2], 8),  # four prefix tuples per block
     ],
 )
 def test_bruteforce_prefix_tail_splits_on_branching_trees(tree, counts, chunk, monkeypatch):
@@ -192,6 +202,40 @@ def test_bruteforce_long_path_of_single_atoms(n_vertices):
     value = tc.integral_bruteforce(measures, tree, params).value
     assert value == pytest.approx(literal_sum(measures, tree, params), rel=1e-12, abs=0.0)
     assert value > 0
+
+
+_ORACLE_BATTERY = """
+import numpy as np
+import treeconfig as tc
+
+rng = np.random.default_rng(23)
+trees = [tc.path_tree(1), tc.path_tree(3), tc.star_tree(3), tc.star_tree(4)]
+for chunk in (tc.integrals._CHUNK, 2_560_000):
+    tc.integrals._CHUNK = chunk
+    for tree in trees:
+        for n in (7, 25, 40):
+            if n**tree.n_vertices <= 10**7:
+                mu = tc.AtomicMeasure(d=2, atoms=rng.random((n, 2)), weights=rng.random(n))
+                measures = [mu] * tree.n_vertices
+                print(tc.integral_bruteforce(measures, tree, tc.KernelParams(0.5, 0.3)).value.hex())
+"""
+
+
+def test_bruteforce_is_independent_of_the_blas_thread_count():
+    # At _CHUNK = 2,560,000 a 40-atom 4-vertex tree is one block, whose
+    # product (1600 x 40) @ (40 x 40) has m*n*k = 2.56M, over the size at
+    # which OpenBLAS 0.3 splits a GEMM across threads; the blocks at the
+    # default _CHUNK have m*n*k at most 500,000 and stay on one thread.
+    src = str(Path(tc.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _ORACLE_BATTERY], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0].split()) == 22
+    assert outputs[0] == outputs[1]
 
 
 def test_peel_matches_oracle_on_trivials():

@@ -288,6 +288,23 @@ def test_annulus_pairs_equal_the_dense_reference(case):
     assert np.array_equal(pairs.data, data)
 
 
+@pytest.mark.parametrize("points", [6, 11])
+@pytest.mark.parametrize("seed", range(3))
+def test_annulus_pairs_on_a_lattice_whose_step_is_outer(points, seed):
+    # 300 atoms on a 1-D lattice of step outer = 1/3, each moved by up to two
+    # ulps: the grid's cells are then about outer wide, and a pair outer
+    # apart lands two cells apart unless _grid pads the cell side
+    rng = np.random.default_rng(seed)
+    outer = 1 / 3
+    lattice = rng.integers(0, points, size=(300, 1)) * outer
+    atoms = lattice + rng.integers(-2, 3, size=lattice.shape) * np.spacing(lattice + outer)
+    pairs = _annulus_pairs(atoms, 0.0, outer)
+    indptr, indices, data = _dense_pairs(atoms, 0.0, outer)
+    assert np.array_equal(pairs.indptr, indptr)
+    assert np.array_equal(pairs.indices, indices)
+    assert np.array_equal(pairs.data, data)
+
+
 @st.composite
 def lattice_scans(draw):
     """Lattice atoms, some duplicated, and the eps0 annuli of a 2-5 point t-grid."""

@@ -10,6 +10,8 @@ A scan's outputs must transform exactly as its inputs do:
   every pair distance scales exactly and every annulus test keeps its
   outcome; 1/(2 eps) and every math.fsum scale exactly too;
 - reflecting one axis changes no pair distance, so every row is identical;
+- swapping the two axes in d = 2 changes no pair distance either, as a sum
+  of two squares commutes exactly, so every row is identical;
 - permuting the atoms changes only the order of each mat-vec's sums, so
   statuses and witness outcomes agree and values agree to rounding.
 
@@ -32,9 +34,9 @@ from conftest import pruefer_tree
 
 
 @st.composite
-def lattice_scans(draw):
+def lattice_scans(draw, dims=st.integers(1, 3)):
     """(measure, tree, config): 2-12 atoms in d = 1-3, duplicates allowed."""
-    d = draw(st.integers(1, 3))
+    d = draw(dims)
     cells = st.tuples(*[st.integers(0, 4)] * d)
     coords = draw(st.lists(cells, min_size=2, max_size=10))
     coords += coords[: draw(st.integers(0, 2))]  # duplicate atoms
@@ -109,6 +111,16 @@ def test_reflecting_an_axis_keeps_every_row(case, axis):
     reflected = tc.scan_interval(config, _with_atoms(mu, atoms), tree).to_dict()
     assert reflected["rows"] == base["rows"]
     assert reflected["interval"] == base["interval"]
+
+
+@given(case=lattice_scans(dims=st.just(2)))
+@settings(max_examples=25, deadline=None)
+def test_swapping_the_axes_in_the_plane_keeps_every_row(case):
+    mu, tree, config = case
+    base = tc.scan_interval(config, mu, tree).to_dict()
+    swapped = tc.scan_interval(config, _with_atoms(mu, mu.atoms[:, ::-1]), tree).to_dict()
+    assert swapped["rows"] == base["rows"]
+    assert swapped["interval"] == base["interval"]
 
 
 def _close(a, b):
