@@ -10,15 +10,16 @@ Two evaluators are provided. The brute-force one forms every product term
 and is the oracle: with a leaf ordered last, it enumerates prefix tuples in
 blocks and broadcasts the remaining vertices but the leaf as dense tensor
 axes, and one matrix product with the leaf edge's factor forms and sums a
-block's at most _CHUNK terms; the term_cap check bounds the total. Each
-vertex weight is folded into one edge factor. The peel evaluator eliminates
-vertices along a leaf-peeling schedule, accumulating per-vertex message
-fields, and reorganizes exactly the same sum, so the two agree to float
-reassociation error. With a nested good-set chain supplied, each vertex v
-integrates against mu with zero weight off stage schedule.stages[v], which
-equals brute force computed with each vertex's measure replaced by its
-stage restriction. Adding an exact 0.0 leaves a float sum unchanged, so
-every message stays a mat-vec on the one annulus graph of the scale.
+block's terms, at most _CHUNK of them unless the leaf edge alone has more;
+the term_cap check bounds the total. Each vertex weight is folded into one
+edge factor. The peel evaluator eliminates vertices along a leaf-peeling
+schedule, accumulating per-vertex message fields, and reorganizes exactly
+the same sum, so the two agree to float reassociation error. With a nested
+good-set chain supplied, each vertex v integrates against mu with zero
+weight off stage schedule.stages[v], which equals brute force computed with
+each vertex's measure replaced by its stage restriction. Adding an exact 0.0
+leaves a float sum unchanged, so every message stays a mat-vec on the one
+annulus graph of the scale.
 """
 
 from __future__ import annotations
@@ -91,15 +92,17 @@ def integral_bruteforce(
     Every term is formed and summed. The vertices are relabelled so that a
     leaf v is k-1 and its neighbour u is k-2, then split into a prefix
     0..s-1 and the longest tail s..k-1 whose tuples number at most _CHUNK;
-    the tail always holds v. Each edge's kernel matrix, times the weights
-    of the vertices it is the first edge of, is one factor; the edge (u, v)
-    comes last, so it carries v's weight. For a block of P prefix tuples the
-    k-2 other factors, gathered on their prefix axes and broadcast over
-    their tail axes, give a partial block of shape (P, n_s, ..., n_u), 1/n_v
-    of the block. The matrix product of its rows with the leaf factor, which
-    contracts the u axis, forms each of the block's terms once; a block
-    holds at most _CHUNK terms, so memory stays bounded. When u is a prefix
-    axis the contraction has length 1. Each product is summed with np.sum,
+    the tail always holds u and v. Each edge's kernel matrix, times the
+    weights of the vertices it is the first edge of, is one factor; the edge
+    (u, v) comes last, so it carries v's weight. For a block of P prefix
+    tuples the k-2 other factors, gathered on their prefix axes and
+    broadcast over their tail axes, give a partial block of shape
+    (P, n_s, ..., n_u), 1/n_v of the block. The matrix product of its rows
+    with the leaf factor, which contracts the u axis, forms each of the
+    block's terms once; the product holds 1/n_u of the block. A block has
+    at most _CHUNK terms, or is one prefix tuple when n_u * n_v alone
+    exceeds _CHUNK, so neither array is larger than _CHUNK or the leaf
+    factor, and memory stays bounded. Each product is summed with np.sum,
     and the block sums with math.fsum.
     """
     if len(mu_per_vertex) != tree.n_vertices:
@@ -144,10 +147,10 @@ def integral_bruteforce(
     *factors, (_, leaf_factor) = factors
 
     # The tail vertices s..k-1 span a dense block of at most _CHUNK tuples
-    # (one row of v when n_v alone exceeds it) and 31 axes; the prefix
-    # tuples are decoded from a linear index, `block` at a time.
+    # (the leaf edge's n_u * n_v when that alone exceeds it) and 31 axes;
+    # the prefix tuples are decoded from a linear index, `block` at a time.
     fits = (s for s in range(k - 1) if math.prod(counts[s:]) <= _CHUNK and k - s <= 31)
-    s = next(fits, k - 1)
+    s = next(fits, k - 2)
     n_prefix, tail_shape = math.prod(counts[:s]), counts[s:]
     block = max(1, _CHUNK // math.prod(tail_shape))
     strides = [math.prod(counts[w + 1 : s]) for w in range(s)]
@@ -162,13 +165,12 @@ def integral_bruteforce(
             shape = [len(lin) if axes[0] < s else 1]
             shape += [counts[w] if w in axes else 1 for w in range(s, k - 1)]
             term = term * gathered.reshape(shape)
-        # the leaf factor contracts the partial block's u axis: one (rows x n_u)
-        # @ (n_u x n_v) product when u is a tail axis, else one length-1
-        # contraction per prefix tuple; either forms each term once
-        partial = np.broadcast_to(term, [len(lin), *counts[s : k - 1]])
-        batch, inner = (1, counts[k - 2]) if s < k - 1 else (len(lin), 1)
-        leaf = leaf_factor if s < k - 1 else leaf_factor[idx[k - 2]]
-        products = partial.reshape(batch, -1, inner) @ leaf.reshape(batch, inner, -1)
+        # the leaf factor contracts the partial block's u axis: one
+        # (rows x n_u) @ (n_u x n_v) product forms each term once; a one-edge
+        # tree's partial is a broadcast 1.0, copied since numpy's matmul
+        # leaves a stride-0 operand to a loop many times slower than BLAS
+        partial = np.ascontiguousarray(np.broadcast_to(term, [len(lin), *counts[s : k - 1]]))
+        products = partial.reshape(-1, counts[k - 2]) @ leaf_factor
         chunk_sums.append(float(np.sum(products)))
     return IntegralResult(
         value=math.fsum(chunk_sums), method="oracle", stage_log=[], params=params
