@@ -40,7 +40,6 @@ class FeasibilityTables:
     """
 
     tree: TreeGraph
-    params: KernelParams
     order: list[int]
     parent: list[int | None]
     children: dict[int, list[int]]
@@ -118,7 +117,6 @@ def feasibility_dp(
             hosts[v] &= reach(np.logical_or.reduce([hosts[u] for u in kids])) >= len(kids)
     return FeasibilityTables(
         tree=tree,
-        params=params,
         order=order,
         parent=parent,
         children=children,
@@ -164,14 +162,15 @@ def extract_embedding(
     tells proven absence apart from a spent node budget; a spent budget
     reports exactly node_budget nodes visited.
     """
-    if tables.tree != tree or tables.params != params or tables.graph.pairs.shape[0] != len(mu):
+    graph = tables.graph
+    if tables.tree != tree or graph.params != params or graph.pairs.shape[0] != len(mu):
         raise ValidationError("tables were built for a different instance")
     if node_budget < 1:
         raise ValidationError(f"node_budget must be >= 1, got {node_budget}")
     if require_distinct:
         root_allowed = tables.hosts[0]
     else:  # every subtree folds onto an edge at any atom that has one
-        root_allowed = np.diff(tables.graph.pairs.indptr) > 0
+        root_allowed = np.diff(graph.pairs.indptr) > 0
     if not root_allowed.any():
         return SearchResult(witness=None, exhausted=True, nodes_visited=0)
     # Python lists indexed by stack position, so visiting a node makes no numpy
@@ -183,7 +182,7 @@ def extract_embedding(
         allowed = [root_allowed.tolist()] * len(order)
     position = {v: pos for pos, v in enumerate(order)}
     parent_pos = [position.get(tables.parent[v]) for v in order]
-    indptr, indices = tables.graph.pairs.indptr.tolist(), tables.graph.pairs.indices
+    indptr, indices = graph.pairs.indptr.tolist(), graph.pairs.indices
     neighbours: dict[int, list[int]] = {}  # atom -> ascending neighbour ids, once it hosts a parent
     placed = [-1] * len(order)  # atom at each stack position, -1 while unplaced
     used = bytearray(len(mu))  # marks the placed atoms when require_distinct

@@ -6,11 +6,12 @@ field integrals differ by exact powers of (2*eps).
 
 Every decision "does this pair lie in the annulus" goes through one
 formula, `pair_distance` (defined in `measures`, whose ball masses use it
-too). An `AnnulusGraph` holds the atom pairs that pass it at one scale as a
-symmetric sparse matrix (rows ascending, column indices sorted); fields,
-chain stages, peel messages and host tables are mat-vecs on it at the atoms
-they sum over, each accumulating in ascending atom order. Restricting to a
-subset of atoms zeroes the weights off it; no graph is sliced.
+too). An `AnnulusGraph` holds the atom pairs that pass it at one scale as
+one symmetric 0/1 sparse matrix (rows ascending, column indices sorted) and
+their distances; fields, chain stages, peel messages and host tables are
+mat-vecs on the matrix at the atoms they sum over, each accumulating in
+ascending atom order. Restricting to a subset of atoms zeroes the weights
+off it; no graph is sliced.
 
 One routine finds pairs, `_annulus_pairs`: it bins the atoms on a uniform
 grid of cells at least as wide as the outer radius and compares each cell's
@@ -106,32 +107,29 @@ def kernel_weight(x, params: KernelParams) -> float:
 class AnnulusGraph:
     """Atom pairs whose pair_distance lies in [params.inner, params.outer].
 
-    pairs is a symmetric CSR matrix with one row and one column per atom;
-    its stored values are the pair distances. indicator shares that
-    structure with all values 1, so indicator @ w sums w over each atom's
-    annulus.
+    pairs is the symmetric 0/1 CSR adjacency, one row and one column per
+    atom, so pairs @ w sums w over each atom's annulus. distances holds the
+    pair distances in pairs.indices order; only the annulus masks read them.
     """
 
-    def __init__(self, pairs: sparse.csr_matrix, params: KernelParams):
-        self.pairs = pairs
+    def __init__(self, indptr, indices, distances, params: KernelParams):
+        n = len(indptr) - 1
+        self.pairs = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        self.distances = distances
         self.params = params
-        self.indicator = sparse.csr_matrix(
-            (np.ones(pairs.nnz), pairs.indices, pairs.indptr), shape=pairs.shape
-        )
 
     @classmethod
     def build(cls, points, params: KernelParams) -> "AnnulusGraph":
         """Graph of the atoms at params, from one pass of _annulus_pairs."""
-        points = np.asarray(points, dtype=float)
-        return cls(_annulus_pairs(points, params.inner, params.outer), params)
+        return cls(*_annulus_pairs(np.asarray(points, float), params.inner, params.outer), params)
 
     @classmethod
-    def band(cls, envelope: sparse.csr_matrix, params: KernelParams) -> "AnnulusGraph":
+    def band(cls, envelope, params: KernelParams) -> "AnnulusGraph":
         """build()'s graph of the atoms at params, masked from _annulus_pairs of a wider annulus.
 
         Exact entry for entry, since both test pair_distance with the closed test.
         """
-        return cls(_in_annulus(envelope, params), params)
+        return cls(*_in_annulus(*envelope, params), params)
 
     def within(self, params: KernelParams) -> "AnnulusGraph":
         """The graph of a nested, no wider annulus, filtered from this one (self if equal)."""
@@ -142,23 +140,22 @@ class AnnulusGraph:
                 f"annulus [{params.inner}, {params.outer}] is not inside "
                 f"[{self.params.inner}, {self.params.outer}]"
             )
-        return AnnulusGraph(_in_annulus(self.pairs, params), params)
+        kept = _in_annulus(self.pairs.indptr, self.pairs.indices, self.distances, params)
+        return AnnulusGraph(*kept, params)
 
 
-def _in_annulus(pairs: sparse.csr_matrix, params: KernelParams) -> sparse.csr_matrix:
-    """The stored pairs of a distance-valued CSR whose distance lies in the annulus."""
-    d = pairs.data
-    keep = np.flatnonzero(params.contains(d))
-    kept = (d.take(keep), pairs.indices.take(keep), np.searchsorted(keep, pairs.indptr))
-    return sparse.csr_matrix(kept, shape=pairs.shape)
+def _in_annulus(indptr, indices, distances, params: KernelParams):
+    """(indptr, indices, distances) of the stored pairs whose distance lies in the annulus."""
+    keep = np.flatnonzero(params.contains(distances))
+    return np.searchsorted(keep, indptr), indices.take(keep), distances.take(keep)
 
 
-def _annulus_pairs(points, inner, outer) -> sparse.csr_matrix:
-    """Distance-valued symmetric CSR of the atom pairs with inner <= pair_distance <= outer.
+def _annulus_pairs(points, inner, outer):
+    """Symmetric CSR (indptr, indices, distances) of the pairs with inner <= pair_distance <= outer.
 
     Rows follow the atom ids, each row's columns ascending. Each cell of
     `_grid` is compared densely, in chunks, with the atoms of its 3^d
-    neighbour cells; its rows are then moved to their atoms' places.
+    neighbour cells; scipy's CSR row gather then moves its rows to atom order.
     """
     n = len(points)
     order, bounds, runs = _grid(points, outer)
@@ -179,10 +176,12 @@ def _annulus_pairs(points, inner, outer) -> sparse.csr_matrix:
             counts.append(np.bincount(i, minlength=len(chunk)))
             indices.append(cols[j].astype(np.int32))
             data.append(d[i, j])
-    kept = (np.concatenate(data), np.concatenate(indices), np.cumsum(np.concatenate(counts)))
-    pairs = sparse.csr_matrix(kept, shape=(n, n))
-    # row k of pairs belongs to atom order[k]
-    return pairs if len(runs) == 1 else pairs[np.argsort(order)]
+    indptr = np.cumsum(np.concatenate(counts))
+    indices, distances = np.concatenate(indices), np.concatenate(data)
+    if len(runs) == 1:
+        return indptr, indices, distances
+    moved = sparse.csr_matrix((distances, indices, indptr), shape=(n, n))[np.argsort(order)]
+    return moved.indptr, moved.indices, moved.data
 
 
 def _grid(points, outer):
@@ -237,7 +236,7 @@ def annulus_sums(
     """
     if graph.params != params or graph.pairs.shape != (len(queries), len(source_points)):
         raise ValidationError("annulus graph was built for other points or parameters")
-    return graph.indicator @ np.asarray(source_values, dtype=float)
+    return graph.pairs @ np.asarray(source_values, dtype=float)
 
 
 def convolve_field(

@@ -248,8 +248,11 @@ def build_ifs_measure(spec: IFSSpec, atom_cap: int = DEFAULT_ATOM_CAP) -> Atomic
     pos = np.zeros((1, spec.d))
     wts = np.ones(1)
     for _ in range(spec.depth):
+        last = pos.tobytes(), wts.tobytes()
         pos = np.concatenate([t + r * pos for r, t in spec.maps])
         wts = np.concatenate([p * wts for p in spec.probabilities])
+        if (pos.tobytes(), wts.tobytes()) == last:  # a one-map IFS at its fixed point
+            break
     return AtomicMeasure(
         d=spec.d,
         atoms=pos,

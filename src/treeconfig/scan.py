@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .embedding import DEFAULT_NODE_BUDGET, extract_embedding, feasibility_dp
 from .errors import ResourceCapError, StageFailureError, ValidationError
@@ -208,7 +207,7 @@ def _scan_one_t(
     mu: AtomicMeasure,
     tree: TreeGraph,
     schedule: PeelSchedule,
-    envelope: sparse.csr_matrix | None,
+    envelope: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> list[ScanRow]:
     rows = [ScanRow(t=float(t), eps=float(eps)) for eps in config.eps_ladder]
     if envelope is None:  # the scan's annulus pairs exceed the pair cap

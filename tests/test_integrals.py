@@ -220,12 +220,10 @@ for chunk in (tc.integrals._CHUNK, 2_560_000):
 """
 
 
-_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+_BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 
-@pytest.mark.skipif(
-    "openblas" not in _BLAS["name"].lower(), reason="OPENBLAS_NUM_THREADS needs OpenBLAS"
-)
+@pytest.mark.skipif("openblas" not in _BLAS.lower(), reason="OPENBLAS_NUM_THREADS needs OpenBLAS")
 def test_bruteforce_is_independent_of_the_blas_thread_count():
     # At _CHUNK = 2,560,000 a 40-atom 4-vertex tree is one block, whose
     # product (1600 x 40) @ (40 x 40) has m*n*k = 2.56M, over the size at

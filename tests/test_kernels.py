@@ -4,11 +4,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import treeconfig as tc
 from conftest import naive_field
@@ -167,7 +169,44 @@ def test_annulus_graph_matches_dense_predicate(d):
     assert graph.pairs.has_sorted_indices
     narrower = tc.KernelParams(t=0.3, eps=0.05)
     rebuilt = tc.AnnulusGraph.build(atoms, narrower)
-    assert (graph.within(narrower).pairs != rebuilt.pairs).nnz == 0
+    within = graph.within(narrower)
+    assert (within.pairs != rebuilt.pairs).nnz == 0
+    assert np.array_equal(within.distances, rebuilt.distances)
+    for g in (graph, within, rebuilt):
+        _assert_adjacency_and_distances(g, atoms)
+
+
+def _assert_adjacency_and_distances(graph, atoms):
+    """pairs is 0/1, and distances are its stored pairs' pair_distance in pairs.indices order."""
+    pairs = graph.pairs
+    assert np.all(pairs.data == 1.0)
+    rows = np.repeat(np.arange(pairs.shape[0]), np.diff(pairs.indptr))
+    assert np.array_equal(graph.distances, tc.pair_distance(atoms[rows], atoms[pairs.indices]))
+
+
+@pytest.mark.parametrize("n", [100, 3000])
+def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
+    # 100 atoms are one cell; 3000 are many, whose rows one scipy row gather
+    # moves to atom order
+    atoms = np.random.default_rng(8).random((n, 2))
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return sparse.csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("treeconfig.kernels.sparse", SimpleNamespace(csr_matrix=counted))
+    wide = tc.KernelParams(t=0.1, eps=0.05)
+    envelope = _annulus_pairs(atoms, wide.inner, wide.outer)
+    assert len(built) == (0 if n == 100 else 1)
+    tc.AnnulusGraph.build(atoms, wide)
+    assert len(built) == (1 if n == 100 else 3)
+    del built[:]
+    band = tc.AnnulusGraph.band(envelope, wide)
+    assert len(built) == 1
+    band.within(tc.KernelParams(t=0.1, eps=0.01))
+    assert len(built) == 2
+    _assert_adjacency_and_distances(band, atoms)
 
 
 def test_within_the_same_annulus_is_the_graph_itself():
@@ -282,10 +321,8 @@ def _twelve_dimensional_lattice():
 def test_annulus_pairs_equal_the_dense_reference(case):
     atoms, inner, outer = case
     pairs = _annulus_pairs(atoms, inner, outer)
-    indptr, indices, data = _dense_pairs(atoms, inner, outer)
-    assert np.array_equal(pairs.indptr, indptr)
-    assert np.array_equal(pairs.indices, indices)
-    assert np.array_equal(pairs.data, data)
+    for got, expected in zip(pairs, _dense_pairs(atoms, inner, outer), strict=True):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("points", [6, 11])
@@ -299,10 +336,8 @@ def test_annulus_pairs_on_a_lattice_whose_step_is_outer(points, seed):
     lattice = rng.integers(0, points, size=(300, 1)) * outer
     atoms = lattice + rng.integers(-2, 3, size=lattice.shape) * np.spacing(lattice + outer)
     pairs = _annulus_pairs(atoms, 0.0, outer)
-    indptr, indices, data = _dense_pairs(atoms, 0.0, outer)
-    assert np.array_equal(pairs.indptr, indptr)
-    assert np.array_equal(pairs.indices, indices)
-    assert np.array_equal(pairs.data, data)
+    for got, expected in zip(pairs, _dense_pairs(atoms, 0.0, outer), strict=True):
+        assert np.array_equal(got, expected)
 
 
 @st.composite
@@ -334,10 +369,13 @@ def test_mask_of_the_symmetric_envelope_is_the_built_graph(scan):
     # in stored order
     atoms, annuli = scan
     envelope = _annulus_pairs(atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
-    assert (envelope != envelope.T).nnz == 0
+    indptr, indices, distances = envelope
+    matrix = sparse.csr_matrix((distances, indices, indptr), shape=(len(atoms),) * 2)
+    assert (matrix != matrix.T).nnz == 0
     for params in annuli:
-        band = tc.AnnulusGraph.band(envelope, params).pairs
-        built = tc.AnnulusGraph.build(atoms, params).pairs
-        assert np.array_equal(band.indptr, built.indptr)
-        assert np.array_equal(band.indices, built.indices)
-        assert np.array_equal(band.data, built.data)
+        band = tc.AnnulusGraph.band(envelope, params)
+        built = tc.AnnulusGraph.build(atoms, params)
+        assert np.array_equal(band.pairs.indptr, built.pairs.indptr)
+        assert np.array_equal(band.pairs.indices, built.pairs.indices)
+        assert np.array_equal(band.distances, built.distances)
+        _assert_adjacency_and_distances(band, atoms)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,36 @@ def test_single_map_fixed_point():
     assert len(mu) == 1
     assert mu.atoms[0, 0] == 0.0
     assert mu.weights[0] == 1.0
+
+
+def _literal_ifs_levels(spec):
+    """build_ifs_measure's atoms and weights by a loop over every level."""
+    pos, wts = np.zeros((1, spec.d)), np.ones(1)
+    for _ in range(spec.depth):
+        pos = np.concatenate([t + r * pos for r, t in spec.maps])
+        wts = np.concatenate([p * wts for p in spec.probabilities])
+    return pos, wts
+
+
+def test_single_map_at_the_default_atom_cap_is_fast():
+    # one map at depth 10^6: the orbit of 0 reaches its fixed point long before
+    spec = tc.IFSSpec(d=2, maps=[(0.9, (0.3, -0.7))], depth=10**6)
+    start = time.perf_counter()
+    mu = tc.build_ifs_measure(spec)
+    assert time.perf_counter() - start < 1.0
+    fixed = np.array([0.3, -0.7]) / (1 - 0.9)
+    assert len(mu) == 1 and np.allclose(mu.atoms[0], fixed, rtol=1e-14)
+    assert mu.weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 0.999])
+def test_single_map_equals_the_literal_loop_bit_for_bit(ratio):
+    # ratio 0.999 is still moving at depth 2,000; the others stop early
+    spec = tc.IFSSpec(d=3, maps=[(ratio, (0.3, -0.7, 1e-3))], depth=2000)
+    mu = tc.build_ifs_measure(spec)
+    pos, wts = _literal_ifs_levels(spec)
+    assert mu.atoms.tobytes() == pos.tobytes()
+    assert mu.weights.tobytes() == wts.tobytes()
 
 
 def test_two_map_depth_one():
