@@ -4,11 +4,15 @@ Subcommands: generate, frostman, integral, pigeonhole, embed, scan.
 Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
 4 empty result (no witness / empty interval / failed pigeonhole stage,
 which is an outcome, not an error), 1 internal consistency error (a bug).
+
+One parser serves every call in a process: `build_parser` builds it on first
+use, and each `run_pipeline` call parses its argv into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -132,7 +136,9 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones; do not mutate it."""
     p = argparse.ArgumentParser(
         prog="treeconfig",
         description="tree configurations in fractal atomic measures",

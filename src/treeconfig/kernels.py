@@ -167,15 +167,16 @@ def _annulus_pairs(points, inner, outer):
     counts, indices, data = [np.zeros(1, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
     for cell, stencil in enumerate(runs.tolist()):
         rows = order[bounds[cell] : bounds[cell + 1]]
-        cols = np.sort(np.concatenate([order[a:b] for a, b in stencil]))
+        cols = np.sort(np.concatenate([order[a:b] for a, b in stencil])).astype(np.int32)
         step = max(1, _CHUNK_PAIRS // max(1, len(cols)))
         for first in range(0, len(rows), step):
             chunk = rows[first : first + step]
             d = pair_distance(points[chunk, None, :], points[cols])
-            i, j = np.nonzero((d >= inner) & (d <= outer))
-            counts.append(np.bincount(i, minlength=len(chunk)))
-            indices.append(cols[j].astype(np.int32))
-            data.append(d[i, j])
+            keep = (d >= inner) & (d <= outer)
+            flat = np.flatnonzero(keep)  # kept pairs by flat index, row-major
+            counts.append(np.count_nonzero(keep, axis=1))
+            indices.append(cols.take(flat % len(cols)))
+            data.append(d.ravel().take(flat))
     indptr = np.cumsum(np.concatenate(counts))
     indices, distances = np.concatenate(indices), np.concatenate(data)
     if len(runs) == 1:

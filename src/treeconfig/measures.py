@@ -247,11 +247,15 @@ def build_ifs_measure(spec: IFSSpec, atom_cap: int = DEFAULT_ATOM_CAP) -> Atomic
         )
     pos = np.zeros((1, spec.d))
     wts = np.ones(1)
-    for _ in range(spec.depth):
-        last = pos.tobytes(), wts.tobytes()
+    for level in range(1, spec.depth + 1):
+        last = pos.tobytes()
         pos = np.concatenate([t + r * pos for r, t in spec.maps])
         wts = np.concatenate([p * wts for p in spec.probabilities])
-        if (pos.tobytes(), wts.tobytes()) == last:  # a one-map IFS at its fixed point
+        if pos.tobytes() == last:  # a one-map IFS at its fixed point: only its weight moves
+            p, w = spec.probabilities.item(), wts.item()
+            for _ in range(spec.depth - level):
+                w = p * w  # the level loop's IEEE product, on Python floats
+            wts = np.array([w])
             break
     return AtomicMeasure(
         d=spec.d,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import pytest
 
 import treeconfig as tc
+from treeconfig import cli
 from treeconfig.cli import run_pipeline
 from conftest import product_cantor_spec
 
@@ -398,3 +400,107 @@ def test_finite_weights_whose_sum_overflows_exit_2(tmp_path, atoms, weight, argv
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and err.count("\n") == 1
     assert "overflows" in err and "Traceback" not in err
+
+
+# One parser serves every call in a process: a call must leave nothing in it
+# that changes the next call's exit code, messages or output files.
+
+
+def _call(argv, outputs, capsys):
+    """Exit code, stdout, stderr and output file texts of one run_pipeline call."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    code = run_pipeline(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, {path.name: path.read_text() for path in outputs if path.exists()}
+
+
+def _call_on_a_fresh_parser(argv, outputs, capsys):
+    cli.build_parser.cache_clear()
+    return _call(argv, outputs, capsys)
+
+
+def _back_to_back(first, second, capsys):
+    """Both calls' results on one parser; the second must equal its result on a fresh parser."""
+    before = _call_on_a_fresh_parser(*first, capsys)
+    after = _call(*second, capsys)
+    assert after == _call_on_a_fresh_parser(*second, capsys)
+    return before, after
+
+
+@pytest.fixture()
+def reuse_inputs(tmp_path):
+    # two atoms one apart: the 2-chain embeds at t = 1 only with a repeated atom
+    pair = tmp_path / "pair.json"
+    tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5]).save(pair)
+    chain = tmp_path / "chain.json"
+    tc.path_tree(2).save(chain)
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({
+        "measure_file": str(pair), "tree_file": str(chain),
+        "t_min": 0.8, "t_max": 1.2, "t_steps": 3,
+        "eps0": 0.15, "halvings": 1, "out_dir": str(tmp_path / "config_dir"),
+    }))
+    embed = ["embed", "--measure", str(pair), "--tree", str(chain), "--t", "1.0",
+             "--eps", "0.1", "--out", str(tmp_path / "embed.json")]
+    return tmp_path, embed, config
+
+
+def test_allow_repeats_does_not_carry_over_to_the_next_embed(reuse_inputs, capsys):
+    tmp_path, embed, _ = reuse_inputs
+    out = [tmp_path / "embed.json"]
+    loose, strict = _back_to_back((embed + ["--allow-repeats"], out), (embed, out), capsys)
+    assert (loose[0], strict[0]) == (0, 4)
+    assert json.loads(loose[3]["embed.json"])["distinct"] is False
+    assert json.loads(strict[3]["embed.json"])["found"] is False
+
+
+def test_out_dir_does_not_carry_over_to_the_next_scan(reuse_inputs, capsys):
+    tmp_path, _, config = reuse_inputs
+    scan = ["scan", "--config", str(config)]
+    names = ("scan.csv", "report.json", "interval.json")
+    flag, own = ([tmp_path / d / name for name in names] for d in ("flag_dir", "config_dir"))
+    moved, kept = _back_to_back(
+        (scan + ["--out-dir", str(tmp_path / "flag_dir")], flag + own), (scan, flag + own), capsys
+    )
+    assert (moved[0], kept[0]) == (0, 0)
+    assert not any(path.exists() for path in flag) and all(path.exists() for path in own)
+    assert sorted(kept[3]) == sorted(names)
+    assert json.loads(kept[3]["report.json"])["config"]["out_dir"] == str(tmp_path / "config_dir")
+
+
+def test_a_malformed_call_leaves_the_next_call_as_it_was(reuse_inputs, capsys):
+    tmp_path, embed, _ = reuse_inputs
+    malformed, valid = _back_to_back(
+        (["embed", "--t", "one"], []), (embed, [tmp_path / "embed.json"]), capsys
+    )
+    assert (malformed[0], valid[0]) == (2, 4)
+    assert malformed[1] == "" and malformed[2].startswith("usage: treeconfig embed")
+
+
+def test_help_leaves_the_next_call_as_it_was(reuse_inputs, capsys):
+    tmp_path, embed, _ = reuse_inputs
+    helped, valid = _back_to_back(
+        (["--help"], []), (embed + ["--allow-repeats"], [tmp_path / "embed.json"]), capsys
+    )
+    assert (helped[0], valid[0]) == (0, 0)
+    assert helped[1].startswith("usage: treeconfig") and helped[2] == ""
+
+
+def test_three_calls_build_one_parser_tree(reuse_inputs, monkeypatch):
+    _, embed, config = reuse_inputs
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [run_pipeline(embed), run_pipeline(["scan", "--config", str(config)]),
+             run_pipeline(embed + ["--allow-repeats"])]
+    assert codes == [4, 0, 0]
+    # the top-level parser and one per subcommand, each once
+    assert built == ["treeconfig"] + [f"treeconfig {name}" for name in (
+        "generate", "frostman", "integral", "pigeonhole", "embed", "scan")]

@@ -41,14 +41,27 @@ def test_single_map_at_the_default_atom_cap_is_fast():
     assert mu.weights.tolist() == [1.0]
 
 
+def test_single_map_just_below_probability_one_at_the_default_atom_cap_is_fast():
+    # the weight shrinks on every level, so it never repeats as the atom does
+    p = 1 - 1e-13
+    spec = tc.IFSSpec(d=2, maps=[(0.9, (0.3, -0.7))], depth=10**6, probabilities=[p])
+    start = time.perf_counter()
+    mu = tc.build_ifs_measure(spec)
+    assert time.perf_counter() - start < 1.0
+    assert len(mu) == 1 and mu.weights[0] == pytest.approx(p**10**6, rel=1e-9)
+    assert mu.weights[0] < 1.0
+
+
 @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.999])
 def test_single_map_equals_the_literal_loop_bit_for_bit(ratio):
-    # ratio 0.999 is still moving at depth 2,000; the others stop early
-    spec = tc.IFSSpec(d=3, maps=[(ratio, (0.3, -0.7, 1e-3))], depth=2000)
-    mu = tc.build_ifs_measure(spec)
-    pos, wts = _literal_ifs_levels(spec)
-    assert mu.atoms.tobytes() == pos.tobytes()
-    assert mu.weights.tobytes() == wts.tobytes()
+    # ratio 0.999 is still moving at depth 2,000; the others stop early, and
+    # below probability 1 the weight moves on after the atom has stopped
+    for p in (1.0, 1 - 1e-13):
+        spec = tc.IFSSpec(d=3, maps=[(ratio, (0.3, -0.7, 1e-3))], depth=2000, probabilities=[p])
+        mu = tc.build_ifs_measure(spec)
+        pos, wts = _literal_ifs_levels(spec)
+        assert mu.atoms.tobytes() == pos.tobytes()
+        assert mu.weights.tobytes() == wts.tobytes()
 
 
 def test_two_map_depth_one():
