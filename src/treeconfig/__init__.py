@@ -32,7 +32,6 @@ from .integrals import (
 )
 from .kernels import (
     AnnulusGraph,
-    FieldValues,
     KernelParams,
     annulus_sums,
     convolve_field,

@@ -17,9 +17,10 @@ schedule, accumulating per-vertex message fields, and reorganizes exactly
 the same sum, so the two agree to float reassociation error. With a nested
 good-set chain supplied, each vertex v integrates against mu with zero
 weight off stage schedule.stages[v], which equals brute force computed with
-each vertex's measure replaced by its stage restriction. Adding an exact 0.0
-leaves a float sum unchanged, so every message stays a mat-vec on the one
-annulus graph of the scale.
+each vertex's measure replaced by its stage restriction; without one, every
+stage is all of mu and every round's field is mu's, so both run one peel.
+Adding an exact 0.0 leaves a float sum unchanged, so every message stays a
+mat-vec on the one annulus graph of the scale.
 """
 
 from __future__ import annotations
@@ -193,46 +194,42 @@ def integral_peel(
     graph at params, built when not given; every message is a mat-vec on
     the whole of it, since the zero weights drop out of its sums exactly.
     Messages stay products of fields and meet a weight only where used.
-    With a chain, vertex weights are good_chain.on_stage(stage, mu.weights),
-    and round j's pure field is the chain's fields[j-1] as stored (the
-    terminal's is that of z1's stage plus one); without one, it is mu's
-    field, computed once.
+    Three inputs are picked once, from the chain or else from mu: each
+    vertex's weights (good_chain.on_stage), each stage's atoms
+    (good_chain.stage_indices) and each round's pure field (the chain's
+    fields as stored, or mu's field, computed once).
     """
-    restricted = good_chain is not None
-    if restricted:
-        if good_chain.params != params:
-            raise ValidationError("good-set chain was built with different parameters")
-        if good_chain.n_atoms != len(mu):
-            raise ValidationError("good-set chain belongs to a different measure")
-        if good_chain.depth < schedule.required_depth:
-            raise ValidationError(
-                f"chain depth {good_chain.depth} < required {schedule.required_depth}"
-            )
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)
 
     def field(values: np.ndarray) -> np.ndarray:
         return annulus_sums(mu.atoms, values, mu.atoms, params, graph) * params.weight
 
-    stages = schedule.stages
-    if restricted:
-        weights = [good_chain.on_stage(s, mu.weights) for s in stages]
-    else:
+    stages, depth = schedule.stages, schedule.required_depth
+    if good_chain is None:
         weights = [mu.weights] * len(stages)
-        pure = field(mu.weights)
+        atoms = [slice(None)] * (depth + 1)
+        fields = [field(mu.weights)] * depth
+    else:
+        if good_chain.params != params:
+            raise ValidationError("good-set chain was built with different parameters")
+        if good_chain.n_atoms != len(mu):
+            raise ValidationError("good-set chain belongs to a different measure")
+        if good_chain.depth < depth:
+            raise ValidationError(f"chain depth {good_chain.depth} < required {depth}")
+        weights = [good_chain.on_stage(s, mu.weights) for s in stages]
+        atoms = [good_chain.stage_indices(s) for s in range(depth + 1)]
+        fields = good_chain.fields
 
     # message[v][a]: product of eliminated-subtree factors with v at atom a;
     # a vertex without one is still pristine (message == 1)
     messages: dict[int, np.ndarray] = {}
     stage_log: list[StageStats] = []
     for j, rnd in enumerate(schedule.rounds, start=1):
-        # round j's pure field; restricted, the chain's stage-j field, whose
-        # zeros off stage j drop nothing, as every host of round j has stage >= j
-        if restricted:
-            pure = good_chain.fields[j - 1]
-            at_stage = pure[good_chain.stage_indices(j)]
-        else:
-            at_stage = pure
+        # round j's pure field; a chain's is zero off stage j, which drops
+        # nothing, as every host of round j has stage >= j
+        pure = fields[j - 1]
+        at_stage = pure[atoms[j]]
         fmin, fmax = math.inf, -math.inf
         for host, mult in rnd.attachments:
             powered = at_stage**mult
@@ -248,13 +245,11 @@ def integral_peel(
         return weights[v] * messages[v] if v in messages else weights[v]
 
     z1, z2 = schedule.terminal
-    rows = good_chain.stage_indices(stages[z2]) if restricted else slice(None)
+    rows = atoms[stages[z2]]
     inner = field(vertex_values(z1))
-    # z2's stage lies inside stage stages[z1] + 1, whose field the chain holds
-    pure_term = good_chain.fields[stages[z1]] if restricted else pure
-    stage_log.append(
-        StageStats("terminal", float(pure_term[rows].min()), float(pure_term[rows].max()))
-    )
+    # z2's stage lies inside stage stages[z1] + 1, whose field is fields[stages[z1]]
+    pure_term = fields[stages[z1]][rows]
+    stage_log.append(StageStats("terminal", float(pure_term.min()), float(pure_term.max())))
     value = finite_fsum((inner * vertex_values(z2))[rows], "configuration integral")
     return IntegralResult(value=value, method="peel", stage_log=stage_log, params=params)
 

@@ -6,12 +6,14 @@ field integrals differ by exact powers of (2*eps).
 
 Every decision "does this pair lie in the annulus" goes through one
 formula, `pair_distance` (defined in `measures`, whose ball masses use it
-too). An `AnnulusGraph` holds the atom pairs that pass it at one scale as
-one symmetric 0/1 sparse matrix (rows ascending, column indices sorted) and
-their distances; fields, chain stages, peel messages and host tables are
-mat-vecs on the matrix at the atoms they sum over, each accumulating in
-ascending atom order. Restricting to a subset of atoms zeroes the weights
-off it; no graph is sliced.
+too), and one closed test, `_closed`. An `AnnulusGraph` holds the atom
+pairs that pass it at one scale as one symmetric 0/1 sparse matrix (rows
+ascending, column indices sorted) and their distances; fields, chain
+stages, peel messages and host tables are mat-vecs on the matrix at the
+atoms they sum over, each accumulating in ascending atom order. A field is
+a plain float array, one value per atom; `field_norms` sums its norms and
+checks it. Restricting to a subset of atoms zeroes the weights off it; no
+graph is sliced.
 
 One routine finds pairs, `_annulus_pairs`: it bins the atoms on a uniform
 grid of cells at least as wide as the outer radius and compares each cell's
@@ -76,25 +78,12 @@ class KernelParams:
 
     def contains(self, d):
         """Whether distance d lies in the closed annulus [inner, outer]; elementwise on arrays."""
-        return (d >= self.inner) & (d <= self.outer)
+        return _closed(d, self.inner, self.outer)
 
 
-@dataclass
-class FieldValues:
-    """Kernel-vs-measure convolution sampled at the measure's own atoms."""
-
-    values: np.ndarray
-    params: KernelParams
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValidationError("field values must be a flat array")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValidationError("field values must be finite and nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.values)
+def _closed(d, inner, outer):
+    """The one closed annulus test, inner <= d <= outer, elementwise on arrays."""
+    return (d >= inner) & (d <= outer)
 
 
 def kernel_weight(x, params: KernelParams) -> float:
@@ -172,7 +161,7 @@ def _annulus_pairs(points, inner, outer):
         for first in range(0, len(rows), step):
             chunk = rows[first : first + step]
             d = pair_distance(points[chunk, None, :], points[cols])
-            keep = (d >= inner) & (d <= outer)
+            keep = _closed(d, inner, outer)
             flat = np.flatnonzero(keep)  # kept pairs by flat index, row-major
             counts.append(np.count_nonzero(keep, axis=1))
             indices.append(cols.take(flat % len(cols)))
@@ -242,29 +231,33 @@ def annulus_sums(
 
 def convolve_field(
     source: AtomicMeasure, params: KernelParams, graph: AnnulusGraph | None = None
-) -> FieldValues:
+) -> np.ndarray:
     """Field f(a) = sum_b weight_b * kernel(a - atom_b) at each atom a of source.
 
-    A mat-vec on source's annulus graph (built when not given). Matches the
-    naive double loop to 1e-12 relative; see the test suite's oracle.
+    A mat-vec on source's annulus graph (built when not given), one float per
+    atom. Matches the naive double loop to 1e-12 relative; see the test
+    suite's oracle.
     """
     if graph is None:
         graph = AnnulusGraph.build(source.atoms, params)
-    sums = annulus_sums(source.atoms, source.weights, source.atoms, params, graph)
-    return FieldValues(values=sums * params.weight, params=params)
+    return annulus_sums(source.atoms, source.weights, source.atoms, params, graph) * params.weight
 
 
-def field_norms(f: FieldValues, weights_at_queries) -> tuple[float, float]:
+def field_norms(f, weights_at_queries) -> tuple[float, float]:
     """(integral of f, integral of f^2) against the weights of the atoms f is sampled at.
 
-    The one place a field's norms are summed; a sum past the float range is refused.
+    The one place a field's norms are summed, and the one check of a field:
+    a flat array of finite nonnegative floats, one per weight. A sum past
+    the float range is refused.
     """
-    w = np.asarray(weights_at_queries, dtype=float)
-    if w.shape != f.values.shape:
-        raise ValidationError(
-            f"weights length {w.shape} != field length {f.values.shape}"
-        )
+    f, w = np.asarray(f, dtype=float), np.asarray(weights_at_queries, dtype=float)
+    if f.ndim != 1:
+        raise ValidationError("field values must be a flat array")
+    if not np.all(np.isfinite(f)) or np.any(f < 0):
+        raise ValidationError("field values must be finite and nonnegative")
+    if w.shape != f.shape:
+        raise ValidationError(f"weights length {w.shape} != field length {f.shape}")
     with np.errstate(over="ignore"):  # an overflowing term gives an inf norm; good_set refuses it
-        products = w * f.values
-        squares = products * f.values
+        products = w * f
+        squares = products * f
     return finite_fsum(products, "field integral"), finite_fsum(squares, "field square integral")

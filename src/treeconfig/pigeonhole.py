@@ -1,9 +1,9 @@
 """Pigeonhole selection of field level sets with certified mass bounds.
 
-Given a nonnegative field f sampled on the atoms of a measure mu with
-total mass M, a lower bound c on the integral of f, and C = integral of
-f^2, the "good set" keeps the atoms where f is pinched between a low
-cutoff and a dyadic ceiling:
+Given a nonnegative field f, a plain float array with one value per atom
+of a measure mu with total mass M, a lower bound c on the integral of f,
+and C = integral of f^2, the "good set" keeps the atoms where f is pinched
+between a low cutoff and a dyadic ceiling:
 
     c' = c / (4M),  m = ceil(log2(16 C / c)),  G = { c' < f < 2^m }.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, StageFailureError, ValidationError
-from .kernels import AnnulusGraph, FieldValues, KernelParams, convolve_field, field_norms
+from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms
 from .measures import AtomicMeasure, exact_sum
 
 
@@ -56,13 +56,11 @@ class LevelProfile:
     total_mass: float
 
 
-def chebyshev_profile(
-    f: FieldValues, mu_weights, c_prime: float, m_low: int
-) -> LevelProfile:
+def chebyshev_profile(f, mu_weights, c_prime: float, m_low: int) -> LevelProfile:
     if not (c_prime > 0):
         raise ValidationError("c_prime must be positive")
     _, c_bound = field_norms(f, mu_weights)
-    w, v = np.asarray(mu_weights, dtype=float), f.values
+    w, v = np.asarray(mu_weights, dtype=float), np.asarray(f, dtype=float)
     below = v <= c_prime
     below_mass = exact_sum(w[below])
     total = exact_sum(w)
@@ -131,8 +129,7 @@ class GoodSet:
 
 
 def good_set(
-    f: FieldValues, mu: AtomicMeasure, c: float, stage: int = 1,
-    norms: tuple[float, float] | None = None,
+    f, mu: AtomicMeasure, c: float, stage: int = 1, norms: tuple[float, float] | None = None
 ) -> GoodSet:
     """Pinched level set with the certified bounds asserted.
 
@@ -141,6 +138,7 @@ def good_set(
     the kept set is >= c/2 and the kept mass is >= c / 2^(m+1). norms is
     field_norms(f, mu.weights) when the caller already holds it.
     """
+    f = np.asarray(f, dtype=float)
     l1, c_sq = norms if norms is not None else field_norms(f, mu.weights)
     if not (0 < c <= l1):
         raise ValidationError(f"need 0 < c <= integral(f dmu) = {l1}, got c = {c}")
@@ -149,10 +147,10 @@ def good_set(
         raise ValidationError(f"field too large for a dyadic ceiling: 16 C / c = {ratio}")
     m = math.ceil(math.log2(ratio))
     ceiling = 2.0**m
-    kept = (f.values > c_prime) & (f.values < ceiling)
+    kept = (f > c_prime) & (f < ceiling)
 
     w = mu.weights
-    good_l1 = exact_sum((w * f.values)[kept])
+    good_l1 = exact_sum((w * f)[kept])
     achieved = exact_sum(w[kept])
     delta = c * 2.0 ** (-(m + 1))
     if good_l1 < c / 2.0:
@@ -215,7 +213,7 @@ def nested_good_sets(
     params: KernelParams,
     depth: int,
     graph: AnnulusGraph | None = None,
-    field: FieldValues | None = None,
+    field: np.ndarray | None = None,
     norms: tuple[float, float] | None = None,
 ) -> GoodSetChain:
     """Iterate good-set selection against the self-convolved field.
@@ -227,30 +225,30 @@ def nested_good_sets(
     stage field has zero integral (t outside the viable range). graph is
     mu's annulus graph at params, built when not given; every stage field
     is a mat-vec on all of it. field, when given, is the stage-1 field
-    convolve_field(mu, params), used as is, and norms, when given with it,
-    is field_norms(field, mu.weights).
+    convolve_field(mu, params), used as is; an array does not record its
+    params, so only its shape is checked. norms, when given with it, is
+    field_norms(field, mu.weights).
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    if field is not None and (field.params != params or len(field) != len(mu)):
-        raise ValidationError("stage-1 field was computed for other parameters or atoms")
+    if field is not None and np.shape(field) != (len(mu),):
+        raise ValidationError("stage-1 field must hold one value per atom of mu")
     if norms is not None and field is None:
         raise ValidationError("stage-1 norms need the stage-1 field they were summed from")
     if graph is None:
         graph = AnnulusGraph.build(mu.atoms, params)
     chain = GoodSetChain(stages=[], fields=[], params=params, n_atoms=len(mu))
     staged = mu
-    f = field if field is not None else convolve_field(mu, params, graph)
+    f = convolve_field(mu, params, graph) if field is None else np.asarray(field, dtype=float)
     if norms is None:
         norms = field_norms(f, mu.weights)
     for j in range(1, depth + 1):
         if j > 1:
             staged = replace(mu, weights=chain.on_stage(j - 1, mu.weights))
-            full = convolve_field(staged, params, graph)
-            f = FieldValues(chain.on_stage(j - 1, full.values), params)
+            f = chain.on_stage(j - 1, convolve_field(staged, params, graph))
             norms = field_norms(f, staged.weights)
         if norms[0] <= 0.0:
             raise StageFailureError(stage=j, t=params.t, eps=params.eps)
         chain.stages.append(good_set(f, staged, norms[0] / 2.0, stage=j, norms=norms))
-        chain.fields.append(chain.on_stage(j, f.values))
+        chain.fields.append(chain.on_stage(j, f))
     return chain

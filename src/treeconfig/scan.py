@@ -20,13 +20,14 @@ radius to its largest outer one (the envelope); each t's eps0 graph is
 masked from them (`AnnulusGraph.band`), and each smaller eps filters the
 graph of the one before (`AnnulusGraph.within`); the feasibility DP and the
 witness search run on the ladder's last graph. Each grid point computes its
-stage-1 field once: the scan takes the norms from it and hands it to the
-chain, and the chain keeps every stage's field, zero off its stage, for the
-restricted integral's peel rounds.
+stage-1 field once, a plain array: the scan takes the norms from it and
+hands it to the chain, and the chain keeps every stage's field in the same
+form, zero off its stage, for the restricted integral's peel rounds.
 
 A row's status is `ok`, `stage<j>_failure` (pigeonhole stage j kept no
 mass) or `cap_exceeded` (the scan's pairs exceed the pair cap); any other
-error stops the scan.
+error stops the scan. A grid of more than ROW_CAP rows is refused with
+ResourceCapError before any of it is computed.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .pigeonhole import nested_good_sets
 from .trees import PeelSchedule, TreeGraph, compute_peel_schedule
 
 CSV_HEADER = "t,eps,l1,l2sq,delta_min,integral_restricted,homomorphism,distinct_witness,status"
+
+# Grid points (t, eps) one scan may hold; every row stays in memory until the
+# report is written. Checked before the t-grid or any row is made.
+ROW_CAP = 2**16
 
 
 def _json_matches(value, annotation: str) -> bool:
@@ -258,6 +263,8 @@ def scan_interval(
     they are loaded from the files named in the config.
     """
     config.__post_init__()  # recheck fields assigned since construction
+    if (n_rows := config.t_steps * (config.halvings + 1)) > ROW_CAP:
+        raise ResourceCapError(f"scan grid has {n_rows} rows, over the cap of {ROW_CAP}")
     mu = measure if measure is not None else load_measure_for(config)
     if tree is None:
         if config.tree_file is None:

@@ -66,7 +66,7 @@ def test_criterion_2_pigeonhole_guarantees(cantor_accept):
         gs = tc.good_set(f, mu, c)  # library asserts internally too
         kept = np.zeros(len(mu), dtype=bool)
         kept[gs.indices] = True
-        prod = mu.weights * f.values
+        prod = mu.weights * f
         assert math.fsum(prod[kept]) >= c / 2.0
         assert math.fsum(mu.weights[kept]) >= c * 2.0 ** (-(gs.m + 1))
         checked_gs += 1
@@ -78,14 +78,12 @@ def test_criterion_2_pigeonhole_guarantees(cantor_accept):
             assert mass <= prof.C_bound * 2.0 ** (-2 * l)
         checked_prof += 1
 
-    params = tc.KernelParams(t=1.0, eps=0.1)
     for _ in range(60):
         n = int(rng.integers(2, 150))
-        vals = rng.exponential(1.5, size=n) * (rng.random(n) < 0.85)
+        f = rng.exponential(1.5, size=n) * (rng.random(n) < 0.85)
         w = rng.random(n) + 1e-4
         mu = tc.AtomicMeasure(d=1, atoms=rng.random((n, 1)), weights=w)
-        f = tc.FieldValues(values=vals, params=params)
-        l1 = math.fsum(w * vals)
+        l1 = math.fsum(w * f)
         if l1 > 0:
             check_good_set(f, mu, l1 / 2.0)
             check_good_set(f, mu, l1)  # tightest admissible c

@@ -155,6 +155,21 @@ def test_scan_subcommand_and_exit_codes(workdir):
     assert empty["I_lo"] is None
 
 
+def test_oversized_scan_grid_exits_3(workdir, capsys):
+    # refused before the t-grid is made: 10^9 t values would take 8 GB
+    tmp_path, _, measure, tree = workdir
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({
+        "measure_file": str(measure), "tree_file": str(tree), "t_steps": 10**9,
+        "out_dir": str(tmp_path / "scan_huge"),
+    }))
+    assert run_pipeline(["scan", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: scan grid has 5000000000 rows")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "scan_huge").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run_pipeline(["integral", "--bogus", "1"]) == 2
     assert "usage" in capsys.readouterr().err

@@ -334,9 +334,31 @@ def test_restricted_terminal_log_is_the_field_of_z1s_stage(k, cantor_small):
     (z1, z2), stages = sched.terminal, sched.stages
     weights = chain.on_stage(stages[z1], cantor_small.weights)
     source = replace(cantor_small, weights=weights)
-    ref = tc.convolve_field(source, p).values[chain.stage_indices(stages[z2])]
+    ref = tc.convolve_field(source, p)[chain.stage_indices(stages[z2])]
     log = tc.integral_peel(cantor_small, sched, p, chain).stage_log[-1]
     assert (log.factor_min, log.factor_max) == (ref.min(), ref.max())
+
+
+def test_restricted_round_logs_are_the_stage_fields(cantor_small):
+    # round j's log is the field of mu restricted to stage j-1, read on stage j
+    # and raised to each host's multiplicity. Only round 1's pristine leaves
+    # take that field as a message, so this log is the one reader of the
+    # later rounds' fields. The spider's round 2 has a host of multiplicity 2;
+    # at this scale G(1) drops atoms, so rounds 1 and 2 read different fields.
+    p = tc.KernelParams(t=0.45, eps=0.05)
+    spider = tc.TreeGraph(8, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7)))
+    for tree in (tc.path_tree(4), tc.path_tree(5), spider):
+        sched = tc.compute_peel_schedule(tree)
+        chain = tc.nested_good_sets(cantor_small, p, sched.required_depth)
+        log = tc.integral_peel(cantor_small, sched, p, chain).stage_log
+        assert len(log) == sched.n_rounds + 1 >= 3
+        for j, rnd in enumerate(sched.rounds, start=1):
+            source = replace(cantor_small, weights=chain.on_stage(j - 1, cantor_small.weights))
+            ref = tc.convolve_field(source, p)[chain.stage_indices(j)]
+            powered = [ref**mult for _, mult in rnd.attachments]
+            expected = (min(x.min() for x in powered), max(x.max() for x in powered))
+            assert (log[j - 1].factor_min, log[j - 1].factor_max) == expected
+    assert max(mult for rnd in sched.rounds for _, mult in rnd.attachments) == 2
 
 
 def test_peel_rejects_mismatched_chain():

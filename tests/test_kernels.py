@@ -44,6 +44,17 @@ def test_params_validation():
     tc.KernelParams(t=1.0, eps=2.0**-52)  # one ulp still leaves an annulus
 
 
+def test_closed_test_admits_the_edges_and_not_one_ulp_past():
+    # contains and the pair routine share one closed test; no tolerance widens it
+    p = tc.KernelParams(t=1.0, eps=0.25)
+    edges = np.array([p.inner, p.outer])
+    assert p.contains(edges).all()
+    assert not p.contains(np.nextafter(edges, [0.0, np.inf])).any()
+    for d in (*edges, *np.nextafter(edges, [0.0, np.inf])):
+        indptr, _, _ = _annulus_pairs(np.array([[0.0], [d]]), p.inner, p.outer)
+        assert indptr[-1] == (2 if d in edges else 0)  # both triangles, or none
+
+
 @pytest.mark.parametrize("norm", [0.0, 0.5, 0.9, 1.0, 1.1, 2.0])
 def test_kernel_scaling_is_indicator(norm):
     p = tc.KernelParams(t=1.0, eps=0.1)
@@ -64,8 +75,8 @@ def test_convolve_single_atom_at_gap():
     src = _with_zero_weight_atoms([[0.0, 0.0]], [1.0], [[1.0, 0.0]])
     p = tc.KernelParams(t=1.0, eps=0.1)
     f = tc.convolve_field(src, p)
-    assert f.values[1] == pytest.approx(5.0)
-    assert f.values[0] == 0.0  # the zero-weight atom adds nothing
+    assert f[1] == pytest.approx(5.0)
+    assert f[0] == 0.0  # the zero-weight atom adds nothing
 
 
 def test_convolve_two_atoms_partial_hit():
@@ -73,7 +84,7 @@ def test_convolve_two_atoms_partial_hit():
     src = _with_zero_weight_atoms([[1.0], [3.0]], [0.5, 0.5], [[0.0]])
     p = tc.KernelParams(t=1.0, eps=0.1)
     f = tc.convolve_field(src, p)
-    assert f.values[2] == pytest.approx(1.0 / (4 * p.eps))
+    assert f[2] == pytest.approx(1.0 / (4 * p.eps))
 
 
 @pytest.mark.parametrize("seed,n,q,d", [(0, 200, 50, 2), (1, 1000, 80, 2), (2, 2000, 60, 3)])
@@ -82,14 +93,14 @@ def test_convolve_matches_naive_loop(seed, n, q, d):
     rng = np.random.default_rng(seed)
     src = _with_zero_weight_atoms(rng.random((n, d)), rng.random(n), rng.random((q, d)))
     p = tc.KernelParams(t=0.4, eps=0.07)
-    fast = tc.convolve_field(src, p).values
+    fast = tc.convolve_field(src, p)
     slow = naive_field(src, src.atoms, p)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
 
 def test_convolve_cantor_matches_naive(cantor_small):
     p = tc.KernelParams(t=0.5, eps=0.05)
-    fast = tc.convolve_field(cantor_small, p).values
+    fast = tc.convolve_field(cantor_small, p)
     slow = naive_field(cantor_small, cantor_small.atoms, p)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
@@ -99,19 +110,17 @@ def test_positivity_monotone_in_eps(seed):
     rng = np.random.default_rng(seed)
     src = _with_zero_weight_atoms(rng.random((80, 2)), rng.random(80), rng.random((40, 2)))
     t = 0.5
-    small = tc.convolve_field(src, tc.KernelParams(t=t, eps=0.05)).values
-    big = tc.convolve_field(src, tc.KernelParams(t=t, eps=0.1)).values
+    small = tc.convolve_field(src, tc.KernelParams(t=t, eps=0.05))
+    big = tc.convolve_field(src, tc.KernelParams(t=t, eps=0.1))
     assert np.all((small > 0) <= (big > 0))
 
 
 def test_field_norms_trivials():
-    p = tc.KernelParams(t=1.0, eps=0.1)
-    f = tc.FieldValues(values=np.ones(4), params=p)
-    l1, l2 = tc.field_norms(f, np.full(4, 0.25))
+    l1, l2 = tc.field_norms(np.ones(4), np.full(4, 0.25))
     assert (l1, l2) == (1.0, 1.0)
-    f2 = tc.FieldValues(values=np.array([2.0, 0.0]), params=p)
-    l1, l2 = tc.field_norms(f2, np.array([0.5, 0.5]))
+    l1, l2 = tc.field_norms(np.array([2.0, 0.0]), np.array([0.5, 0.5]))
     assert (l1, l2) == (1.0, 2.0)
+    assert tc.field_norms([2.0, 0.0], [0.5, 0.5]) == (1.0, 2.0)  # any flat sequence of floats
 
 
 def test_field_norms_match_naive(cantor_small):
@@ -124,9 +133,8 @@ def test_field_norms_match_naive(cantor_small):
 
 
 def test_field_norms_length_mismatch():
-    f = tc.FieldValues(values=np.ones(3), params=tc.KernelParams(t=1.0, eps=0.1))
-    with pytest.raises(tc.ValidationError):
-        tc.field_norms(f, np.ones(4))
+    with pytest.raises(tc.ValidationError, match="field length"):
+        tc.field_norms(np.ones(3), np.ones(4))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -140,11 +148,13 @@ def test_cauchy_schwarz_on_computed_fields(seed):
 
 
 def test_field_values_validation():
-    p = tc.KernelParams(t=1.0, eps=0.1)
-    with pytest.raises(tc.ValidationError):
-        tc.FieldValues(values=np.array([-1.0]), params=p)
-    with pytest.raises(tc.ValidationError):
-        tc.FieldValues(values=np.array([np.inf]), params=p)
+    # field_norms is the one check of a field: flat, finite and nonnegative
+    with pytest.raises(tc.ValidationError, match="flat"):
+        tc.field_norms(np.ones((1, 1)), np.ones(1))
+    for bad in (-1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(tc.ValidationError, match="finite and nonnegative"):
+            tc.field_norms(np.array([1.0, bad]), np.ones(2))
+    assert tc.field_norms(np.array([0.0, 1.0]), np.ones(2)) == (1.0, 1.0)  # zeros are fields
 
 
 def test_pair_distance_is_symmetric_and_direct():

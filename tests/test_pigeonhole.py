@@ -9,7 +9,7 @@ P = tc.KernelParams(t=1.0, eps=0.1)
 
 
 def _field(values):
-    return tc.FieldValues(values=np.asarray(values, dtype=float), params=P)
+    return np.asarray(values, dtype=float)
 
 
 def test_profile_constant_field():
@@ -96,6 +96,23 @@ def test_good_set_preconditions():
         tc.good_set(f, mu, c=1.5)  # above the actual integral
     with pytest.raises(tc.ValidationError):
         tc.good_set(_field([1.0]), mu, c=0.5)  # length mismatch
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[1.0], [1.0]], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan], [1.0, 1.0, 1.0]],
+    ids=["2-D", "negative", "inf", "nan", "wrong-length"],
+)
+def test_field_checks_reach_every_field_consumer(bad):
+    # field_norms checks a field; good_set and chebyshev_profile both go through it
+    mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
+    f = np.array(bad)
+    with pytest.raises(tc.ValidationError, match="field"):
+        tc.field_norms(f, mu.weights)
+    with pytest.raises(tc.ValidationError, match="field"):
+        tc.good_set(f, mu, c=0.5)
+    with pytest.raises(tc.ValidationError, match="field"):
+        tc.chebyshev_profile(f, mu.weights, c_prime=0.1, m_low=0)
 
 
 def test_good_set_rejects_a_field_without_a_finite_ceiling():
@@ -188,7 +205,7 @@ def test_chain_keeps_each_stage_field_at_its_atoms(cantor_small):
         assert gs.achieved_mass == ref.achieved_mass
         stored = chain.fields[j - 1]
         assert stored.shape == (len(cantor_small),)
-        assert np.array_equal(stored[ids], f.values[ref.indices])
+        assert np.array_equal(stored[ids], f[ref.indices])
         assert not np.any(np.delete(stored, ids))
         prev_ids = ids
 
@@ -200,12 +217,11 @@ def test_handed_in_field_is_used_and_checked(cantor_small):
     plain = tc.nested_good_sets(cantor_small, p, depth=2)
     for a, b in zip(chain.fields, plain.fields):
         assert np.array_equal(a, b)
-    other = tc.convolve_field(cantor_small, tc.KernelParams(t=0.6, eps=0.05))
-    with pytest.raises(tc.ValidationError, match="stage-1 field"):
-        tc.nested_good_sets(cantor_small, p, depth=1, field=other)
-    short = tc.FieldValues(values=f.values[:-1], params=p)
-    with pytest.raises(tc.ValidationError, match="stage-1 field"):
-        tc.nested_good_sets(cantor_small, p, depth=1, field=short)
+    for bad in (f[:-1], f[:, None]):  # checked even when the caller hands its norms too
+        with pytest.raises(tc.ValidationError, match="stage-1 field"):
+            tc.nested_good_sets(cantor_small, p, depth=1, field=bad)
+        with pytest.raises(tc.ValidationError, match="stage-1 field"):
+            tc.nested_good_sets(cantor_small, p, depth=1, field=bad, norms=(1.0, 1.0))
     norms = tc.field_norms(f, cantor_small.weights)
     handed = tc.nested_good_sets(cantor_small, p, depth=2, field=f, norms=norms)
     assert [gs.to_record() for gs in handed.stages] == plain.to_records()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -180,12 +181,17 @@ def test_scan_computes_each_stage_field_once(monkeypatch, pair_measure, pair_con
 
 
 def test_scan_sums_each_stage_norms_once(monkeypatch, pair_measure, pair_config):
-    calls = []
+    point, calls = [], []
+
+    def convolve(mu, params, graph):  # the scan's own field call opens each grid point
+        point[:] = [(params.t, params.eps)]
+        return tc.convolve_field(mu, params, graph)
 
     def counted(f, weights):
-        calls.append((f.params.t, f.params.eps))
+        calls.append(point[0])
         return tc.field_norms(f, weights)
 
+    monkeypatch.setattr("treeconfig.scan.convolve_field", convolve)
     monkeypatch.setattr("treeconfig.scan.field_norms", counted)
     monkeypatch.setattr("treeconfig.pigeonhole.field_norms", counted)
     tree = tc.path_tree(3)
@@ -194,6 +200,25 @@ def test_scan_sums_each_stage_norms_once(monkeypatch, pair_measure, pair_config)
     assert {r.status for r in report.rows} == {"ok", "stage1_failure"}
     for row in report.rows:  # one field_norms call per chain stage the row reached
         assert calls.count((row.t, row.eps)) == (2 if row.status == "ok" else 1)
+
+
+def test_oversized_grid_is_refused_before_any_row(monkeypatch, pair_measure, pair_config):
+    # a grid of 10^9 t values would take 8 GB; it is refused before the t-grid exists
+    huge = tc.ScanConfig(t_min=0.5, t_max=1.5, t_steps=10**9, eps0=0.25, halvings=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tc.ResourceCapError, match="3000000000 rows"):
+            tc.scan_interval(huge, measure=pair_measure, tree=tc.path_tree(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the cap counts t_steps * (halvings + 1) rows and admits a grid that meets it
+    monkeypatch.setattr("treeconfig.scan.ROW_CAP", 33)
+    assert len(tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1)).rows) == 33
+    monkeypatch.setattr("treeconfig.scan.ROW_CAP", 32)
+    with pytest.raises(tc.ResourceCapError, match="33 rows, over the cap of 32"):
+        tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
 
 
 def test_scan_makes_one_distance_pass(monkeypatch, pair_measure):
