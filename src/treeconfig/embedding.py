@@ -9,10 +9,10 @@ keep the atoms that pass degree and counting bounds every injective
 embedding obeys (the local step of Matula's subtree-isomorphism DP), so
 absence is often proven with no search. A witness is then extracted top-down
 by backtracking with an explicit stack over the host tables (every atom with
-an edge when repeats are allowed) and per-atom neighbour lists, each cached
-as a Python list of ascending atom ids the first time its atom hosts a
-parent, enforcing injectivity when asked. Returned witnesses are always
-re-verified by direct distance recomputation, independent of the graph.
+an edge when repeats are allowed) and per-atom neighbour lists, each made a
+Python list the first time the search needs it, enforcing injectivity when
+asked. Returned witnesses are always re-verified by direct distance
+recomputation, independent of the graph.
 """
 
 from __future__ import annotations
@@ -90,10 +90,12 @@ def feasibility_dp(
     Atom p hosts v iff its graph degree is at least v's tree degree, a
     neighbour hosts each child, and (for 2+ children) as many neighbours
     host some child as v has children: bounds every injective embedding
-    obeys, one mat-vec per tree edge. The homomorphism question needs no
-    table: the graph is symmetric, as every AnnulusGraph of one point set
-    is, so any subtree folds onto any edge. graph is mu's annulus graph at
-    params, built when not given.
+    obeys, at most one mat-vec per tree edge. An empty table ends the
+    mat-vecs: it empties its parent's, and a table that empties takes no
+    further one. The homomorphism question needs no table: the graph is
+    symmetric, as every AnnulusGraph of one point set is, so any subtree
+    folds onto any edge. graph is mu's annulus graph at params, built when
+    not given.
     """
     order, parent = tree.bfs()
     children: dict[int, list[int]] = {v: [] for v in range(tree.n_vertices)}
@@ -110,11 +112,14 @@ def feasibility_dp(
     hosts = {}
     for v in reversed(order):
         kids = children[v]
-        hosts[v] = degree >= len(kids) + (parent[v] is not None)
+        hosts[v] = table = degree >= len(kids) + (parent[v] is not None)
         for u in kids:
-            hosts[v] &= reach(hosts[u]) > 0.0
-        if len(kids) >= 2:
-            hosts[v] &= reach(np.logical_or.reduce([hosts[u] for u in kids])) >= len(kids)
+            if not (table.any() and hosts[u].any()):  # v's table is or becomes empty
+                table[:] = False
+                break
+            table &= reach(hosts[u]) > 0.0
+        if len(kids) >= 2 and table.any():
+            table &= reach(np.logical_or.reduce([hosts[u] for u in kids])) >= len(kids)
     return FeasibilityTables(
         tree=tree,
         order=order,
@@ -173,22 +178,22 @@ def extract_embedding(
         root_allowed = np.diff(graph.pairs.indptr) > 0
     if not root_allowed.any():
         return SearchResult(witness=None, exhausted=True, nodes_visited=0)
-    # Python lists indexed by stack position, so visiting a node makes no numpy
-    # call; without require_distinct every position shares one list
+    # Python lists indexed by stack position, each made when the search first
+    # reaches its position, so visiting a node makes no numpy call; without
+    # require_distinct every position shares one list
     order = tables.order
-    if require_distinct:
-        allowed = [tables.hosts[v].tolist() for v in order]
-    else:
-        allowed = [root_allowed.tolist()] * len(order)
+    allowed = [None if require_distinct else root_allowed.tolist()] * len(order)
     position = {v: pos for pos, v in enumerate(order)}
     parent_pos = [position.get(tables.parent[v]) for v in order]
-    indptr, indices = graph.pairs.indptr.tolist(), graph.pairs.indices
+    indptr, indices = graph.pairs.indptr, graph.pairs.indices
     neighbours: dict[int, list[int]] = {}  # atom -> ascending neighbour ids, once it hosts a parent
     placed = [-1] * len(order)  # atom at each stack position, -1 while unplaced
     used = bytearray(len(mu))  # marks the placed atoms when require_distinct
 
     def candidates(pos: int) -> list[int]:
         ok = allowed[pos]
+        if ok is None:
+            ok = allowed[pos] = tables.hosts[order[pos]].tolist()
         if pos == 0:
             return [a for a, good in enumerate(ok) if good]
         a = placed[parent_pos[pos]]

@@ -15,11 +15,12 @@ a plain float array, one value per atom; `field_norms` sums its norms and
 checks it. Restricting to a subset of atoms zeroes the weights off it; no
 graph is sliced.
 
-One routine finds pairs, `_annulus_pairs`: it bins the atoms on a uniform
-grid of cells at least as wide as the outer radius and compares each cell's
-atoms densely with those of its 3^d neighbour cells (the cell-list method
-for fixed-radius near neighbours). A graph build is one such pass; a scan
-makes one at the envelope of its grid, from the smallest inner to the
+One routine finds pairs, `_annulus_pairs`, as int32 CSR arrays. When all
+n^2 pairs fit one chunk (n <= 256) they are one dense block; otherwise it
+bins the atoms on a uniform grid of cells at least as wide as the outer
+radius and compares each cell's atoms densely with those of its 3^d
+neighbour cells (the cell-list method for fixed-radius near neighbours).
+A graph build is one such pass; a scan makes one at the envelope of its grid, from the smallest inner to the
 largest outer radius, and each scale's graph is an exact mask of it.
 """
 
@@ -103,6 +104,8 @@ class AnnulusGraph:
 
     def __init__(self, indptr, indices, distances, params: KernelParams):
         n = len(indptr) - 1
+        # int32 index arrays spare scipy a scan of their contents to pick its index dtype
+        indptr, indices = np.asarray(indptr, np.int32), np.asarray(indices, np.int32)
         self.pairs = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
         self.distances = distances
         self.params = params
@@ -142,18 +145,29 @@ def _in_annulus(indptr, indices, distances, params: KernelParams):
 def _annulus_pairs(points, inner, outer):
     """Symmetric CSR (indptr, indices, distances) of the pairs with inner <= pair_distance <= outer.
 
-    Rows follow the atom ids, each row's columns ascending. Each cell of
+    Rows follow the atom ids, each row's int32 columns ascending. All n^2
+    pairs are one dense block if they fit one chunk; otherwise each cell of
     `_grid` is compared densely, in chunks, with the atoms of its 3^d
-    neighbour cells; scipy's CSR row gather then moves its rows to atom order.
+    neighbour cells, and scipy's CSR row gather moves its rows to atom order.
     """
     n = len(points)
-    order, bounds, runs = _grid(points, outer)
-    examined = int(np.diff(bounds) @ (runs[:, :, 1] - runs[:, :, 0]).sum(axis=1))
+    if n * n <= _CHUNK_PAIRS:  # binning costs more than it saves when all pairs fit one chunk
+        grid, examined = None, n * n
+    else:
+        grid = order, bounds, runs = _grid(points, outer)
+        examined = int(np.diff(bounds) @ (runs[:, :, 1] - runs[:, :, 0]).sum(axis=1))
     if examined > DEFAULT_PAIR_CAP:
         raise ResourceCapError(
             f"annulus graph needs {examined} candidate pairs, over the cap of {DEFAULT_PAIR_CAP}"
         )
-    counts, indices, data = [np.zeros(1, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
+    if grid is None:
+        d = pair_distance(points[:, None, :], points)
+        keep = _closed(d, inner, outer)
+        flat = np.flatnonzero(keep)  # kept pairs by flat index, row-major
+        indptr = np.zeros(n + 1, np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return indptr, (flat % n).astype(np.int32), d.ravel().take(flat)
+    counts, indices, data = [np.zeros(1, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
     for cell, stencil in enumerate(runs.tolist()):
         rows = order[bounds[cell] : bounds[cell + 1]]
         cols = np.sort(np.concatenate([order[a:b] for a, b in stencil])).astype(np.int32)
@@ -162,11 +176,11 @@ def _annulus_pairs(points, inner, outer):
             chunk = rows[first : first + step]
             d = pair_distance(points[chunk, None, :], points[cols])
             keep = _closed(d, inner, outer)
-            flat = np.flatnonzero(keep)  # kept pairs by flat index, row-major
+            flat = np.flatnonzero(keep)
             counts.append(np.count_nonzero(keep, axis=1))
             indices.append(cols.take(flat % len(cols)))
             data.append(d.ravel().take(flat))
-    indptr = np.cumsum(np.concatenate(counts))
+    indptr = np.cumsum(np.concatenate(counts), dtype=np.int32)
     indices, distances = np.concatenate(indices), np.concatenate(data)
     if len(runs) == 1:
         return indptr, indices, distances
@@ -177,15 +191,13 @@ def _annulus_pairs(points, inner, outer):
 def _grid(points, outer):
     """(order, bounds, runs): the atom ids cell by cell, each cell's ascending.
 
-    Cell c holds order[bounds[c]:bounds[c + 1]], and its 3^d neighbour cells
-    order[a:b] over its runs (a, b) = runs[c, r]. A cell is at least outer
-    wide on every axis, past the rounding of the atoms' cell coordinates, so
-    a pair within outer is at most one cell apart on each axis.
+    Made only for a pass whose n^2 pairs exceed one chunk. Cell c holds
+    order[bounds[c]:bounds[c + 1]], and its 3^d neighbour cells order[a:b]
+    over its runs (a, b) = runs[c, r]. A cell is at least outer wide on every
+    axis, past the rounding of the atoms' cell coordinates, so a pair within
+    outer is at most one cell apart on each axis.
     """
     n, d = points.shape
-    one_cell = np.arange(n), np.array([0, n]), np.array([[[0, n]]])
-    if n * n <= _CHUNK_PAIRS:  # binning costs more than it saves when all pairs fit one chunk
-        return one_cell
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
     reach = outer + 1e-9 * (outer + span.max())
@@ -194,7 +206,7 @@ def _grid(points, outer):
     # bin along at most three axes, so that a cell has at most 27 neighbours
     axes = np.flatnonzero(cells > 1)[:3]
     if len(axes) == 0:
-        return one_cell
+        return np.arange(n), np.array([0, n]), np.array([[[0, n]]])
     lo, cells, d = lo[axes], cells[axes], len(axes)
     side = np.maximum(span[axes] / cells, reach)
     # coordinates 1..cells, inside a border of empty cells

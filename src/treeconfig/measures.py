@@ -8,8 +8,8 @@ mu(B(x, r)) against r) are provided on top. pair_distance, defined here,
 is the library's one Euclidean distance.
 
 Mass sums are exact: exact_sum is math.fsum's correctly rounded sum over an
-array's Python floats, so totals do not depend on atom order or platform;
-finite_fsum refuses finite terms whose sum leaves the float range.
+array's floats, read off its buffer, so totals do not depend on atom order
+or platform; finite_fsum refuses finite terms whose sum leaves the float range.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ DEFAULT_ATOM_CAP = 10**6
 
 
 def exact_sum(values) -> float:
-    """math.fsum of a float array, over its Python floats: faster than over numpy scalars."""
-    return math.fsum(np.asarray(values, dtype=float).tolist())
+    """math.fsum of a float array, read off its buffer: faster than over numpy scalars or a list."""
+    return math.fsum(memoryview(np.asarray(values, dtype=float)))
 
 
 def finite_fsum(values, name: str) -> float:

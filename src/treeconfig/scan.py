@@ -27,7 +27,7 @@ form, zero off its stage, for the restricted integral's peel rounds.
 A row's status is `ok`, `stage<j>_failure` (pigeonhole stage j kept no
 mass) or `cap_exceeded` (the scan's pairs exceed the pair cap); any other
 error stops the scan. A grid of more than ROW_CAP rows is refused with
-ResourceCapError before any of it is computed.
+ResourceCapError where the t-grid is made, before any input is loaded.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .trees import PeelSchedule, TreeGraph, compute_peel_schedule
 CSV_HEADER = "t,eps,l1,l2sq,delta_min,integral_restricted,homomorphism,distinct_witness,status"
 
 # Grid points (t, eps) one scan may hold; every row stays in memory until the
-# report is written. Checked before the t-grid or any row is made.
+# report is written. ScanConfig.t_values checks it before it makes the t-grid.
 ROW_CAP = 2**16
 
 
@@ -101,6 +101,9 @@ class ScanConfig:
 
     @property
     def t_values(self) -> np.ndarray:
+        """The t-grid; over ROW_CAP rows raises ResourceCapError before the grid is made."""
+        if (n_rows := self.t_steps * (self.halvings + 1)) > ROW_CAP:
+            raise ResourceCapError(f"scan grid has {n_rows} rows, over the cap of {ROW_CAP}")
         return np.linspace(self.t_min, self.t_max, self.t_steps)
 
     @property
@@ -263,8 +266,7 @@ def scan_interval(
     they are loaded from the files named in the config.
     """
     config.__post_init__()  # recheck fields assigned since construction
-    if (n_rows := config.t_steps * (config.halvings + 1)) > ROW_CAP:
-        raise ResourceCapError(f"scan grid has {n_rows} rows, over the cap of {ROW_CAP}")
+    t_values = config.t_values  # checks the row cap before any input is loaded
     mu = measure if measure is not None else load_measure_for(config)
     if tree is None:
         if config.tree_file is None:
@@ -272,7 +274,6 @@ def scan_interval(
         tree = TreeGraph.load(config.tree_file)
     schedule = compute_peel_schedule(tree)
 
-    t_values = config.t_values
     annuli = [KernelParams(t=float(t), eps=float(config.eps0)) for t in t_values]
     try:
         envelope = _annulus_pairs(mu.atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeconfig as tc
-from conftest import exhaustive_injective, homomorphism_tables, random_tree
+from conftest import exhaustive_injective, homomorphism_tables, pruefer_tree, random_tree
 
 P = tc.KernelParams(t=1.0, eps=0.1)
 
@@ -172,6 +174,74 @@ def test_feasible_tables_match_enumerated_subtree_maps(seed):
         expected = [_subtree_maps_with_root_at(tables, adjacent, v, p) for p in range(n)]
         assert homomorphism[v].tolist() == expected
     assert tables.root_feasible() == homomorphism[0].any()
+
+
+def unpruned_dp(mu, tree, params):
+    """Host tables by feasibility_dp's bounds with every mat-vec made, empty tables or not."""
+    order, parent = tree.bfs()
+    children = {v: [u for u in order if parent[u] == v] for v in order}
+    graph = tc.AnnulusGraph.build(mu.atoms, params)
+    degree = np.diff(graph.pairs.indptr)
+    hosts = {}
+    for v in reversed(order):
+        kids = children[v]
+        hosts[v] = degree >= len(kids) + (parent[v] is not None)
+        for u in kids:
+            hosts[v] &= graph.pairs @ hosts[u].astype(float) > 0.0
+        if len(kids) >= 2:
+            union = np.logical_or.reduce([hosts[u] for u in kids])
+            hosts[v] &= graph.pairs @ union.astype(float) >= len(kids)
+    return hosts
+
+
+@st.composite
+def dp_instances(draw):
+    """Lattice atoms in d = 1-3, some duplicated, a tree with a hub, and a lattice annulus.
+
+    The hub gets up to 8 extra leaves, past the at most 2d lattice neighbours
+    an atom has, so its table and those above it empty; t up to 10 steps
+    on a 4-step lattice, or a single atom, gives an empty graph.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.integers(0, 4, size=(n, d)) * 0.1
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    atoms[dup] = atoms[rng.integers(0, n, size=dup.sum())]
+    mu = tc.AtomicMeasure(d=d, atoms=atoms, weights=np.full(n, 1.0 / n))
+    size = draw(st.integers(2, 7))
+    seq = draw(st.lists(st.integers(0, size - 1), min_size=size - 2, max_size=size - 2))
+    tree = pruefer_tree(seq, size)
+    hub, extra = draw(st.integers(0, size - 1)), draw(st.integers(0, 8))
+    edges = list(tree.edges) + [(hub, size + i) for i in range(extra)]
+    k = draw(st.integers(1, 10))
+    params = tc.KernelParams(t=k / 10, eps=draw(st.integers(1, 2 * k - 1)) / 20)
+    return mu, tc.validate_tree(size + extra, edges), params
+
+
+@given(instance=dp_instances())
+@settings(max_examples=300, deadline=None)
+def test_dp_that_skips_empty_tables_keeps_every_table(instance):
+    mu, tree, params = instance
+    tables = tc.feasibility_dp(mu, tree, params)
+    expected = unpruned_dp(mu, tree, params)
+    assert tables.hosts.keys() == expected.keys()
+    for v, table in expected.items():
+        assert tables.hosts[v].dtype == table.dtype
+        assert tables.hosts[v].tobytes() == table.tobytes()
+
+
+def test_union_bound_rules_out_roots_whose_children_share_one_host():
+    # each child needs 3 neighbours, which only atoms 0 and 1 have; each of
+    # them is the other's one neighbour hosting a child, so the per-child
+    # bounds keep both as roots and the union bound rules both out
+    atoms = [[0.0], [1.0], [-1.0], [-1.0], [2.0], [2.0]]
+    mu = tc.AtomicMeasure(d=1, atoms=atoms, weights=[1.0] * 6)
+    tree = tc.validate_tree(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+    tables = tc.feasibility_dp(mu, tree, P)
+    assert tables.hosts[1].tolist() == [True, True, False, False, False, False]
+    assert not tables.hosts[0].any()
+    assert all(np.array_equal(tables.hosts[v], t) for v, t in unpruned_dp(mu, tree, P).items())
 
 
 def test_extract_rejects_foreign_tables():

@@ -196,8 +196,8 @@ def _assert_adjacency_and_distances(graph, atoms):
 
 @pytest.mark.parametrize("n", [100, 3000])
 def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
-    # 100 atoms are one cell; 3000 are many, whose rows one scipy row gather
-    # moves to atom order
+    # 100 atoms are one dense block, which makes no matrix; 3000 are many
+    # cells, whose rows one scipy row gather moves to atom order
     atoms = np.random.default_rng(8).random((n, 2))
     built = []
 
@@ -214,9 +214,11 @@ def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
     del built[:]
     band = tc.AnnulusGraph.band(envelope, wide)
     assert len(built) == 1
-    band.within(tc.KernelParams(t=0.1, eps=0.01))
+    narrow = band.within(tc.KernelParams(t=0.1, eps=0.01))
     assert len(built) == 2
     _assert_adjacency_and_distances(band, atoms)
+    for graph in (tc.AnnulusGraph.build(atoms, wide), band, narrow):
+        assert graph.pairs.indptr.dtype == graph.pairs.indices.dtype == np.int32
 
 
 def test_within_the_same_annulus_is_the_graph_itself():
@@ -284,10 +286,20 @@ def test_import_loads_no_scipy_beyond_sparse():
 
 
 def _dense_pairs(points, inner, outer):
-    """The CSR arrays of every pair's pair_distance masked by the closed test, row-major."""
+    """The CSR arrays of every pair's pair_distance masked by the closed test, row-major.
+
+    indptr and indices are int32, as _annulus_pairs gives them.
+    """
     dist = tc.pair_distance(points[:, None, :], points[None, :, :])
     rows, cols = np.nonzero((dist >= inner) & (dist <= outer))
-    return np.searchsorted(rows, np.arange(len(points) + 1)), cols, dist[rows, cols]
+    indptr = np.searchsorted(rows, np.arange(len(points) + 1))
+    return indptr.astype(np.int32), cols.astype(np.int32), dist[rows, cols]
+
+
+def _assert_identical(arrays, expected):
+    """Each array has the dtype and the bytes of its expected twin."""
+    for got, want in zip(arrays, expected, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -330,9 +342,7 @@ def _twelve_dimensional_lattice():
 @settings(max_examples=200, deadline=None)
 def test_annulus_pairs_equal_the_dense_reference(case):
     atoms, inner, outer = case
-    pairs = _annulus_pairs(atoms, inner, outer)
-    for got, expected in zip(pairs, _dense_pairs(atoms, inner, outer), strict=True):
-        assert np.array_equal(got, expected)
+    _assert_identical(_annulus_pairs(atoms, inner, outer), _dense_pairs(atoms, inner, outer))
 
 
 @pytest.mark.parametrize("points", [6, 11])
@@ -345,9 +355,30 @@ def test_annulus_pairs_on_a_lattice_whose_step_is_outer(points, seed):
     outer = 1 / 3
     lattice = rng.integers(0, points, size=(300, 1)) * outer
     atoms = lattice + rng.integers(-2, 3, size=lattice.shape) * np.spacing(lattice + outer)
-    pairs = _annulus_pairs(atoms, 0.0, outer)
-    for got, expected in zip(pairs, _dense_pairs(atoms, 0.0, outer), strict=True):
-        assert np.array_equal(got, expected)
+    _assert_identical(_annulus_pairs(atoms, 0.0, outer), _dense_pairs(atoms, 0.0, outer))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "duplicated"])
+@pytest.mark.parametrize("n", [256, 257])
+def test_one_block_and_grid_passes_equal_the_dense_reference(monkeypatch, n, kind):
+    # 256 atoms fill one chunk of distances and are compared in one block with
+    # no grid; 257 are binned. Lattice atoms put many pairs on both annulus
+    # edges; duplicated ones put pairs at distance 0 and repeat rows.
+    rng = np.random.default_rng(n)
+    atoms = rng.integers(0, 12, size=(n, 2)) * 0.1
+    if kind == "duplicated":
+        atoms[rng.random(n) < 0.5] = atoms[0]
+    grids = []
+
+    def counted(*args):
+        grids.append(args)
+        return grid(*args)
+
+    grid = tc.kernels._grid
+    monkeypatch.setattr("treeconfig.kernels._grid", counted)
+    for inner, outer in ((0.1, 0.3), (0.0, 0.2), (0.3, 0.3)):
+        _assert_identical(_annulus_pairs(atoms, inner, outer), _dense_pairs(atoms, inner, outer))
+    assert len(grids) == (0 if n == 256 else 3)
 
 
 @st.composite

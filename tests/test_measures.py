@@ -245,6 +245,19 @@ def test_exact_sum_is_fsum_bit_for_bit(values):
     assert _fsum_outcome(exact_sum, values) == _fsum_outcome(math.fsum, values)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_sum_off_the_buffer_equals_fsum_of_the_list(seed):
+    # exact_sum reads the array's buffer; fsum of its Python floats gets the
+    # same floats in the same order, on contiguous and strided views alike
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 3000))
+    v = 10.0 ** rng.uniform(-300, 300, n) * rng.choice([-1.0, 1.0], n)
+    grid = v[: n - n % 3].reshape(-1, 3)
+    for values in (v, v[::3], v[::-2], grid[:, 1], grid.T[2], v[:0], v[::-1][:0]):
+        expected = _fsum_outcome(lambda a: math.fsum(np.asarray(a, dtype=float).tolist()), values)
+        assert _fsum_outcome(exact_sum, values) == expected
+
+
 def test_exact_sum_edge_cases():
     assert struct.pack("<d", exact_sum(np.array([-0.0, -0.0]))) == struct.pack(
         "<d", math.fsum([-0.0, -0.0])
@@ -257,6 +270,11 @@ def test_exact_sum_edge_cases():
     assert exact_sum(np.array([math.inf, 1.0, -5.0])) == math.inf
     with pytest.raises(ValueError):
         exact_sum(np.array([math.inf, -math.inf]))
+    assert exact_sum(np.empty(0)) == 0.0
+    with pytest.raises(TypeError):
+        exact_sum(np.float64(1.0))
+    with pytest.raises(tc.ValidationError, match="mass overflows"):
+        tc.measures.finite_fsum(np.array([1e308, 1e308]), "mass")
 
 
 def test_restrict_identity_and_single():

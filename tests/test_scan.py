@@ -221,6 +221,25 @@ def test_oversized_grid_is_refused_before_any_row(monkeypatch, pair_measure, pai
         tc.scan_interval(pair_config, measure=pair_measure, tree=tc.path_tree(1))
 
 
+def test_oversized_t_grid_is_refused_where_it_is_made(tmp_path):
+    # reading t_values outside a scan allocates nothing large either, and the
+    # scan refuses the grid before it opens any input file
+    huge = tc.ScanConfig(
+        t_min=0.5, t_max=1.5, t_steps=10**9, eps0=0.25, halvings=0,
+        measure_file=str(tmp_path / "missing.json"), tree_file=str(tmp_path / "missing.json"),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(tc.ResourceCapError, match="1000000000 rows"):
+            len(huge.t_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(tc.ResourceCapError, match="1000000000 rows"):
+        tc.scan_interval(huge)
+
+
 def test_scan_makes_one_distance_pass(monkeypatch, pair_measure):
     passes = []
 

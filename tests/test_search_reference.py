@@ -123,6 +123,22 @@ def lattice_broom_instance(seed: int):
     return mu, broom, tc.KernelParams(t=0.05, eps=0.01)
 
 
+def test_lattice_broom_tables_need_no_mat_vec(monkeypatch):
+    # vertex 4's table is empty from the degree bound alone, its leaves need
+    # no mat-vec, and an empty child empties each vertex on the path above it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tc.annulus_sums(*args)
+
+    monkeypatch.setattr("treeconfig.embedding.annulus_sums", counted)
+    mu, broom, p = lattice_broom_instance(0)
+    tables = tc.feasibility_dp(mu, broom, p)
+    assert not calls
+    assert tables.root_feasible() and not any(tables.hosts[v].any() for v in range(5))
+
+
 def test_lattice_broom_proven_absent_in_44448_nodes():
     # the broom's degree-5 vertex has at most 4 lattice neighbours, so no
     # injective embedding exists; a search of the homomorphism tables proves
