@@ -1,9 +1,9 @@
 """Command-line surface over the library.
 
 Subcommands: generate, frostman, integral, pigeonhole, embed, scan.
-Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
-4 empty result (no witness / empty interval / failed pigeonhole stage,
-which is an outcome, not an error), 1 internal consistency error (a bug).
+Exit codes: 0 success, 2 validation error or a file that cannot be read or
+written, 3 resource cap exceeded, 4 empty result (no witness / empty interval
+/ failed pigeonhole stage: an outcome, not an error), 1 internal consistency error (a bug).
 
 One parser serves every call in a process: `build_parser` builds it on first
 use, and each `run_pipeline` call parses its argv into a fresh namespace.
@@ -214,7 +214,7 @@ def run_pipeline(argv=None) -> int:
         print(f"empty result: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot load input: {exc}", file=sys.stderr)
+        print(f"cannot load input or write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except TreeConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,18 @@
 """Search for tree embeddings into the distance graph of an atomic measure.
 
 Two atoms are adjacent at scale (t, eps) when their pair_distance lies in
-the closed interval [t - eps, t + eps]: the edges of the annulus graph,
-symmetric like every AnnulusGraph of one point set. A tree is 2-colourable,
+the closed interval [t - eps, t + eps]: the edges of the annulus graph, a
+symmetric relation whichever triangles it stores. A tree is 2-colourable,
 so it folds onto any one edge (x, y, x, y, ...): a homomorphism exists iff
 the graph has an edge. Host tables, a bottom-up DP of mat-vecs on the graph,
 keep the atoms that pass degree and counting bounds every injective
 embedding obeys (the local step of Matula's subtree-isomorphism DP), so
 absence is often proven with no search. A witness is then extracted top-down
 by backtracking with an explicit stack over the host tables (every atom with
-an edge when repeats are allowed) and per-atom neighbour lists, each made a
-Python list the first time the search needs it, enforcing injectivity when
-asked. Returned witnesses are always re-verified by direct distance
-recomputation, independent of the graph.
+an edge when repeats are allowed) and per-atom neighbour lists (a lower
+graph's row, then column), each made a Python list the first time the search
+needs it, enforcing injectivity when asked. Returned witnesses are always
+re-verified by direct distance recomputation, independent of the graph.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class FeasibilityTables:
 
     def root_feasible(self) -> bool:
         """True iff a (not necessarily injective) homomorphism exists: the graph has an edge."""
-        return self.graph.pairs.nnz > 0
+        return len(self.graph.indices) > 0
 
 
 @dataclass
@@ -108,7 +108,7 @@ def feasibility_dp(
     def reach(table: np.ndarray) -> np.ndarray:  # per atom, its neighbours in table
         return annulus_sums(mu.atoms, table.astype(float), mu.atoms, params, graph)
 
-    degree = np.diff(graph.pairs.indptr)
+    degree = graph.degree()
     hosts = {}
     for v in reversed(order):
         kids = children[v]
@@ -168,14 +168,14 @@ def extract_embedding(
     reports exactly node_budget nodes visited.
     """
     graph = tables.graph
-    if tables.tree != tree or graph.params != params or graph.pairs.shape[0] != len(mu):
+    if tables.tree != tree or graph.params != params or graph.n_atoms != len(mu):
         raise ValidationError("tables were built for a different instance")
     if node_budget < 1:
         raise ValidationError(f"node_budget must be >= 1, got {node_budget}")
     if require_distinct:
         root_allowed = tables.hosts[0]
     else:  # every subtree folds onto an edge at any atom that has one
-        root_allowed = np.diff(graph.pairs.indptr) > 0
+        root_allowed = graph.degree() > 0
     if not root_allowed.any():
         return SearchResult(witness=None, exhausted=True, nodes_visited=0)
     # Python lists indexed by stack position, each made when the search first
@@ -185,7 +185,9 @@ def extract_embedding(
     allowed = [None if require_distinct else root_allowed.tolist()] * len(order)
     position = {v: pos for pos, v in enumerate(order)}
     parent_pos = [position.get(tables.parent[v]) for v in order]
-    indptr, indices = graph.pairs.indptr, graph.pairs.indices
+    indptr, indices = graph.indptr, graph.indices
+    if graph.lower:  # an atom's neighbours above it are its column of the stored pairs
+        above_ptr, above = graph.columns()
     neighbours: dict[int, list[int]] = {}  # atom -> ascending neighbour ids, once it hosts a parent
     placed = [-1] * len(order)  # atom at each stack position, -1 while unplaced
     used = bytearray(len(mu))  # marks the placed atoms when require_distinct
@@ -200,6 +202,8 @@ def extract_embedding(
         nb = neighbours.get(a)
         if nb is None:
             nb = neighbours[a] = indices[indptr[a] : indptr[a + 1]].tolist()
+            if graph.lower:
+                nb += above[above_ptr[a] : above_ptr[a + 1]].tolist()
         return [b for b in nb if ok[b] and not used[b]]
 
     # stack[pos] iterates the candidates for order[pos], computed when the

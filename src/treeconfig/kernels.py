@@ -7,25 +7,26 @@ field integrals differ by exact powers of (2*eps).
 Every decision "does this pair lie in the annulus" goes through one
 formula, `pair_distance` (defined in `measures`, whose ball masses use it
 too), and one closed test, `_closed`. An `AnnulusGraph` holds the atom
-pairs that pass it at one scale as one symmetric 0/1 sparse matrix (rows
-ascending, column indices sorted) and their distances; fields, chain
-stages, peel messages and host tables are mat-vecs on the matrix at the
-atoms they sum over, each accumulating in ascending atom order. A field is
-a plain float array, one value per atom; `field_norms` sums its norms and
-checks it. Restricting to a subset of atoms zeroes the weights off it; no
-graph is sliced.
+pairs that pass it at one scale as CSR rows, both triangles up to 256 atoms
+and the strict lower one above, and their distances; fields, chain stages,
+peel messages and host tables are mat-vecs on it at the atoms they sum
+over, each accumulating in ascending atom order. A field is a plain float
+array, one value per atom; `field_norms` sums its norms and checks it.
+Restricting to a subset of atoms zeroes the weights off it; no graph is sliced.
 
 One routine finds pairs, `_annulus_pairs`, as int32 CSR arrays. When all
 n^2 pairs fit one chunk (n <= 256) they are one dense block; otherwise it
 bins the atoms on a uniform grid of cells at least as wide as the outer
 radius and compares each cell's atoms densely with those of its 3^d
-neighbour cells (the cell-list method for fixed-radius near neighbours).
-A graph build is one such pass; a scan makes one at the envelope of its grid, from the smallest inner to the
-largest outer radius, and each scale's graph is an exact mask of it.
+neighbour cells below them (the cell-list method for fixed-radius near
+neighbours). A graph build is one such pass; a scan makes one at the
+envelope of its grid, from the smallest inner to the largest outer radius,
+and each scale's graph is an exact mask of it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,18 +98,43 @@ def kernel_weight(x, params: KernelParams) -> float:
 class AnnulusGraph:
     """Atom pairs whose pair_distance lies in [params.inner, params.outer].
 
-    pairs is the symmetric 0/1 CSR adjacency, one row and one column per
-    atom, so pairs @ w sums w over each atom's annulus. distances holds the
-    pair distances in pairs.indices order; only the annulus masks read them.
+    indptr and indices are the int32 CSR rows of the stored pairs, columns
+    ascending, and distances their pair distances in indices order, read only
+    by the annulus masks. Up to 256 atoms, where one scipy matrix costs less
+    than two, rows hold both triangles; a larger graph is lower: row i holds j < i.
     """
 
     def __init__(self, indptr, indices, distances, params: KernelParams):
-        n = len(indptr) - 1
         # int32 index arrays spare scipy a scan of their contents to pick its index dtype
-        indptr, indices = np.asarray(indptr, np.int32), np.asarray(indices, np.int32)
-        self.pairs = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        self.indptr, self.indices = np.asarray(indptr, np.int32), np.asarray(indices, np.int32)
         self.distances = distances
         self.params = params
+        self.n_atoms = len(indptr) - 1
+        self.lower = self.n_atoms**2 > _CHUNK_PAIRS  # past _annulus_pairs' one dense block
+
+    @functools.cached_property
+    def _matrices(self) -> tuple:
+        """annulus_sums' matrices, made on its first call: the stored 0/1 CSR L, and if lower
+        also C = [I; L] read as an n x 2n CSC (column n + j is L's row j), on one ones array."""
+        n, nnz = self.n_atoms, len(self.indices)
+        ones = np.ones(nnz + (n if self.lower else 0))
+        stored = sparse.csr_matrix((ones[:nnz], self.indices, self.indptr), shape=(n, n))
+        if not self.lower:
+            return (stored,)
+        ids = np.arange(n, dtype=np.int32)
+        rows, indptr = np.concatenate([ids, self.indices]), np.concatenate([ids, n + self.indptr])
+        return stored, sparse.csc_matrix((ones, rows, indptr), shape=(n, 2 * n))
+
+    def degree(self) -> np.ndarray:
+        """Each atom's number of annulus neighbours: its row, and its column when lower."""
+        column = np.bincount(self.indices, minlength=self.n_atoms) if self.lower else 0
+        return np.diff(self.indptr) + column
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the stored pairs by column, rows ascending: the atoms above."""
+        shape = (self.n_atoms,) * 2
+        by_column = sparse.csr_matrix((self.distances, self.indices, self.indptr), shape).tocsc()
+        return by_column.indptr, by_column.indices
 
     @classmethod
     def build(cls, points, params: KernelParams) -> "AnnulusGraph":
@@ -132,7 +158,7 @@ class AnnulusGraph:
                 f"annulus [{params.inner}, {params.outer}] is not inside "
                 f"[{self.params.inner}, {self.params.outer}]"
             )
-        kept = _in_annulus(self.pairs.indptr, self.pairs.indices, self.distances, params)
+        kept = _in_annulus(self.indptr, self.indices, self.distances, params)
         return AnnulusGraph(*kept, params)
 
 
@@ -143,12 +169,14 @@ def _in_annulus(indptr, indices, distances, params: KernelParams):
 
 
 def _annulus_pairs(points, inner, outer):
-    """Symmetric CSR (indptr, indices, distances) of the pairs with inner <= pair_distance <= outer.
+    """CSR (indptr, indices, distances) of the pairs with inner <= pair_distance <= outer.
 
     Rows follow the atom ids, each row's int32 columns ascending. All n^2
-    pairs are one dense block if they fit one chunk; otherwise each cell of
-    `_grid` is compared densely, in chunks, with the atoms of its 3^d
-    neighbour cells, and scipy's CSR row gather moves its rows to atom order.
+    pairs are one dense block, both triangles, if they fit one chunk. Else
+    only the strict lower triangle is kept (row i, columns j < i): each cell
+    of `_grid` is compared densely, in chunks, with the atoms of its 3^d
+    neighbour cells below the chunk's last row, and scipy's CSR row gather
+    moves its rows to atom order.
     """
     n = len(points)
     if n * n <= _CHUNK_PAIRS:  # binning costs more than it saves when all pairs fit one chunk
@@ -173,12 +201,13 @@ def _annulus_pairs(points, inner, outer):
         cols = np.sort(np.concatenate([order[a:b] for a, b in stencil])).astype(np.int32)
         step = max(1, _CHUNK_PAIRS // max(1, len(cols)))
         for first in range(0, len(rows), step):
-            chunk = rows[first : first + step]
-            d = pair_distance(points[chunk, None, :], points[cols])
-            keep = _closed(d, inner, outer)
+            chunk = rows[first : first + step]  # ascending, so its pairs j < i have j < chunk[-1]
+            below = cols[: np.searchsorted(cols, chunk[-1])]
+            d = pair_distance(points[chunk, None, :], points[below])
+            keep = _closed(d, inner, outer) & (below < chunk[:, None])
             flat = np.flatnonzero(keep)
             counts.append(np.count_nonzero(keep, axis=1))
-            indices.append(cols.take(flat % len(cols)))
+            indices.append(below.take(flat % len(below)))
             data.append(d.ravel().take(flat))
     indptr = np.cumsum(np.concatenate(counts), dtype=np.int32)
     indices, distances = np.concatenate(indices), np.concatenate(data)
@@ -234,11 +263,16 @@ def annulus_sums(
 
     The one mat-vec shared by field convolution, the integral recursion and
     the embedding host tables. queries are the source atoms themselves, and
-    graph is their annulus graph at params.
+    graph is their annulus graph at params. On a lower graph, C @ [L @ x; x]
+    makes the full row's additions in its order, so its sums are the same bits.
     """
-    if graph.params != params or graph.pairs.shape != (len(queries), len(source_points)):
+    if graph.params != params or (graph.n_atoms,) * 2 != (len(queries), len(source_points)):
         raise ValidationError("annulus graph was built for other points or parameters")
-    return graph.pairs @ np.asarray(source_values, dtype=float)
+    x = np.asarray(source_values, dtype=float)
+    if not graph.lower:
+        return graph._matrices[0] @ x
+    stored, stacked = graph._matrices
+    return stacked @ np.concatenate([stored @ x, x])
 
 
 def convolve_field(

@@ -28,9 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InternalConsistencyError, StageFailureError, ValidationError
+from .errors import InternalConsistencyError, ResourceCapError, StageFailureError, ValidationError
 from .kernels import AnnulusGraph, KernelParams, convolve_field, field_norms
 from .measures import AtomicMeasure, exact_sum
+
+
+# Stages one chain may hold; a tree on V vertices needs at most ceil((V - 1) / 2).
+DEPTH_CAP = 256
 
 
 def _dyadic_level(values: np.ndarray) -> np.ndarray:
@@ -227,10 +231,13 @@ def nested_good_sets(
     is a mat-vec on all of it. field, when given, is the stage-1 field
     convolve_field(mu, params), used as is; an array does not record its
     params, so only its shape is checked. norms, when given with it, is
-    field_norms(field, mu.weights).
+    field_norms(field, mu.weights). A depth over DEPTH_CAP is refused with
+    ResourceCapError before the first stage.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    if depth > DEPTH_CAP:
+        raise ResourceCapError(f"chain depth {depth} is over the cap of {DEPTH_CAP}")
     if field is not None and np.shape(field) != (len(mu),):
         raise ValidationError("stage-1 field must hold one value per atom of mu")
     if norms is not None and field is None:

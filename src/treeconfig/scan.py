@@ -15,9 +15,9 @@ shortest round-trip decimals, so identical configs produce byte-identical
 outputs.
 
 The scan examines each candidate pair once: one pass of the pair routine
-keeps the pairs, both triangles, from the t-grid's smallest eps0 inner
-radius to its largest outer one (the envelope); each t's eps0 graph is
-masked from them (`AnnulusGraph.band`), and each smaller eps filters the
+keeps the pairs, one triangle above 256 atoms, from the t-grid's smallest
+eps0 inner radius to its largest outer one (the envelope); each t's eps0
+graph is masked from them (`AnnulusGraph.band`), and each smaller eps filters the
 graph of the one before (`AnnulusGraph.within`); the feasibility DP and the
 witness search run on the ladder's last graph. Each grid point computes its
 stage-1 field once, a plain array: the scan takes the norms from it and

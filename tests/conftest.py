@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import treeconfig as tc
 
@@ -69,13 +71,50 @@ def naive_field(source: tc.AtomicMeasure, queries, params: tc.KernelParams):
     return np.array(out)
 
 
-def homomorphism_tables(tables: tc.FeasibilityTables) -> dict[int, np.ndarray]:
+def dense_pairs(points, inner, outer, lower=False):
+    """CSR arrays of every pair whose pair_distance passes the closed test, row-major.
+
+    indptr and indices are int32, as the pair routine gives them. Both
+    triangles, or with lower only the strict lower one (row i, columns j < i).
+    """
+    dist = tc.pair_distance(points[:, None, :], points[None, :, :])
+    keep = (dist >= inner) & (dist <= outer)
+    rows, cols = np.nonzero(np.tril(keep, -1) if lower else keep)
+    indptr = np.searchsorted(rows, np.arange(len(points) + 1))
+    return indptr.astype(np.int32), cols.astype(np.int32), dist[rows, cols]
+
+
+def reference_matrix(points, params: tc.KernelParams):
+    """The annulus at params as a full-row 0/1 scipy CSR matrix, both triangles, from dense_pairs.
+
+    Independent of AnnulusGraph: whichever triangles a graph stores, its
+    sums, degrees and neighbour lists must be this matrix's, bit for bit.
+    """
+    n = len(points)
+    indptr, indices, _ = dense_pairs(np.asarray(points, float), params.inner, params.outer)
+    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
+@contextlib.contextmanager
+def one_triangle():
+    """Graphs of 5 or more atoms keep one triangle, as graphs of more than 256 atoms do.
+
+    Their pair passes take the grid path, in chunks of at most 16 distances.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("treeconfig.kernels._CHUNK_PAIRS", 16)
+        yield
+
+
+def homomorphism_tables(
+    tables: tc.FeasibilityTables, mu: tc.AtomicMeasure
+) -> dict[int, np.ndarray]:
     """Closed form of the homomorphism tables: every atom for a leaf, else every atom with an edge.
 
     A tree is 2-colourable and every annulus graph is symmetric, so v's
     subtree folds onto any edge at v's atom.
     """
-    degree = np.diff(tables.graph.pairs.indptr)
+    degree = np.diff(reference_matrix(mu.atoms, tables.graph.params).indptr)
     return {v: degree >= (1 if kids else 0) for v, kids in tables.children.items()}
 
 

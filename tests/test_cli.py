@@ -170,6 +170,30 @@ def test_oversized_scan_grid_exits_3(workdir, capsys):
     assert not (tmp_path / "scan_huge").exists()
 
 
+def test_chain_depth_over_the_cap_exits_3(tmp_path, capsys):
+    # refused before the first stage: a depth of 10^8 would run until killed
+    measure, out = tmp_path / "m.json", tmp_path / "chain.json"
+    measure.write_text(json.dumps(_THREE_ATOMS))
+    argv = ["pigeonhole", "--measure", str(measure), "--t", "0.5", "--eps", "0.1"]
+    assert run_pipeline(argv + ["--depth", "100000000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: chain depth 100000000 is over the cap of 256")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_an_output_that_cannot_be_written_exits_2(workdir, capsys):
+    # --out under an existing file: the message names writing as well as loading
+    _, _, measure, tree = workdir
+    out = measure / "x.json"
+    argv = ["integral", "--measure", str(measure), "--tree", str(tree), "--t", "0.7",
+            "--eps", "0.1", "--out", str(out)]
+    assert run_pipeline(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load input or write output: [Errno 20] Not a directory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run_pipeline(["integral", "--bogus", "1"]) == 2
     assert "usage" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeconfig as tc
-from conftest import exhaustive_injective, homomorphism_tables, pruefer_tree, random_tree
+from conftest import (
+    exhaustive_injective,
+    homomorphism_tables,
+    one_triangle,
+    pruefer_tree,
+    random_tree,
+    reference_matrix,
+)
 
 P = tc.KernelParams(t=1.0, eps=0.1)
 
@@ -169,7 +177,7 @@ def test_feasible_tables_match_enumerated_subtree_maps(seed):
     dist = tc.pair_distance(atoms[:, None, :], atoms[None, :, :])
     adjacent = (params.inner <= dist) & (dist <= params.outer)
     tables = tc.feasibility_dp(mu, tree, params)
-    homomorphism = homomorphism_tables(tables)
+    homomorphism = homomorphism_tables(tables, mu)
     for v in range(tree.n_vertices):
         expected = [_subtree_maps_with_root_at(tables, adjacent, v, p) for p in range(n)]
         assert homomorphism[v].tolist() == expected
@@ -177,20 +185,23 @@ def test_feasible_tables_match_enumerated_subtree_maps(seed):
 
 
 def unpruned_dp(mu, tree, params):
-    """Host tables by feasibility_dp's bounds with every mat-vec made, empty tables or not."""
+    """Host tables by feasibility_dp's bounds with every mat-vec made, empty tables or not.
+
+    The mat-vecs and degrees are the full-row reference matrix's.
+    """
     order, parent = tree.bfs()
     children = {v: [u for u in order if parent[u] == v] for v in order}
-    graph = tc.AnnulusGraph.build(mu.atoms, params)
-    degree = np.diff(graph.pairs.indptr)
+    pairs = reference_matrix(mu.atoms, params)
+    degree = np.diff(pairs.indptr)
     hosts = {}
     for v in reversed(order):
         kids = children[v]
         hosts[v] = degree >= len(kids) + (parent[v] is not None)
         for u in kids:
-            hosts[v] &= graph.pairs @ hosts[u].astype(float) > 0.0
+            hosts[v] &= pairs @ hosts[u].astype(float) > 0.0
         if len(kids) >= 2:
             union = np.logical_or.reduce([hosts[u] for u in kids])
-            hosts[v] &= graph.pairs @ union.astype(float) >= len(kids)
+            hosts[v] &= pairs @ union.astype(float) >= len(kids)
     return hosts
 
 
@@ -222,13 +233,16 @@ def dp_instances(draw):
 @given(instance=dp_instances())
 @settings(max_examples=300, deadline=None)
 def test_dp_that_skips_empty_tables_keeps_every_table(instance):
+    # on graphs with both triangles, and on one-triangle graphs alike
     mu, tree, params = instance
-    tables = tc.feasibility_dp(mu, tree, params)
     expected = unpruned_dp(mu, tree, params)
-    assert tables.hosts.keys() == expected.keys()
-    for v, table in expected.items():
-        assert tables.hosts[v].dtype == table.dtype
-        assert tables.hosts[v].tobytes() == table.tobytes()
+    for mode in (contextlib.nullcontext, one_triangle):
+        with mode():
+            tables = tc.feasibility_dp(mu, tree, params)
+        assert tables.hosts.keys() == expected.keys()
+        for v, table in expected.items():
+            assert tables.hosts[v].dtype == table.dtype
+            assert tables.hosts[v].tobytes() == table.tobytes()
 
 
 def test_union_bound_rules_out_roots_whose_children_share_one_host():

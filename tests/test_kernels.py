@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import treeconfig as tc
-from conftest import naive_field
+from conftest import dense_pairs, naive_field, one_triangle, reference_matrix
 from treeconfig.kernels import _annulus_pairs
 
 
@@ -172,53 +172,73 @@ def test_annulus_graph_matches_dense_predicate(d):
     rng = np.random.default_rng(10 + d)
     atoms = np.round(rng.random((300, d)), 1)  # lattice: boundary hits and duplicates
     p = tc.KernelParams(t=0.3, eps=0.1)
-    graph = tc.AnnulusGraph.build(atoms, p)
-    dist = tc.pair_distance(atoms[:, None, :], atoms[None, :, :])
-    expected = (dist >= p.inner) & (dist <= p.outer)
-    assert np.array_equal(graph.pairs.toarray() > 0, expected)
-    assert graph.pairs.has_sorted_indices
+    graph = tc.AnnulusGraph.build(atoms, p)  # 300 atoms: the strict lower triangle
+    _assert_identical(_arrays(graph), dense_pairs(atoms, p.inner, p.outer, lower=True))
+    ref = reference_matrix(atoms, p)
+    assert np.array_equal(graph.degree(), np.diff(ref.indptr))
     narrower = tc.KernelParams(t=0.3, eps=0.05)
     rebuilt = tc.AnnulusGraph.build(atoms, narrower)
     within = graph.within(narrower)
-    assert (within.pairs != rebuilt.pairs).nnz == 0
-    assert np.array_equal(within.distances, rebuilt.distances)
+    _assert_identical(_arrays(within), _arrays(rebuilt))
     for g in (graph, within, rebuilt):
         _assert_adjacency_and_distances(g, atoms)
 
 
+def _arrays(graph):
+    return graph.indptr, graph.indices, graph.distances
+
+
 def _assert_adjacency_and_distances(graph, atoms):
-    """pairs is 0/1, and distances are its stored pairs' pair_distance in pairs.indices order."""
-    pairs = graph.pairs
-    assert np.all(pairs.data == 1.0)
-    rows = np.repeat(np.arange(pairs.shape[0]), np.diff(pairs.indptr))
-    assert np.array_equal(graph.distances, tc.pair_distance(atoms[rows], atoms[pairs.indices]))
+    """distances are the stored pairs' pair_distance in indices order; lower keeps columns j < i."""
+    rows = np.repeat(np.arange(graph.n_atoms), np.diff(graph.indptr))
+    assert np.array_equal(graph.distances, tc.pair_distance(atoms[rows], atoms[graph.indices]))
+    assert graph.lower == (len(atoms) ** 2 > tc.kernels._CHUNK_PAIRS)
+    assert not graph.lower or np.all(graph.indices < rows)
 
 
 @pytest.mark.parametrize("n", [100, 3000])
 def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
-    # 100 atoms are one dense block, which makes no matrix; 3000 are many
-    # cells, whose rows one scipy row gather moves to atom order
+    # 100 atoms are one dense block, which makes no matrix, and their graph
+    # sums with one full-row CSR matrix; 3000 are many cells, whose rows one
+    # scipy row gather moves to atom order, and their one-triangle graph sums
+    # with its CSR and one CSC matrix that share one ones array. A graph makes
+    # them on its first sum, so a graph that is never summed makes none.
     atoms = np.random.default_rng(8).random((n, 2))
     built = []
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return sparse.csr_matrix(*args, **kwargs)
+    def counted(kind):
+        def make(*args, **kwargs):
+            built.append(kind)
+            return getattr(sparse, kind)(*args, **kwargs)
 
-    monkeypatch.setattr("treeconfig.kernels.sparse", SimpleNamespace(csr_matrix=counted))
+        return make
+
+    monkeypatch.setattr(
+        "treeconfig.kernels.sparse",
+        SimpleNamespace(csr_matrix=counted("csr_matrix"), csc_matrix=counted("csc_matrix")),
+    )
     wide = tc.KernelParams(t=0.1, eps=0.05)
     envelope = _annulus_pairs(atoms, wide.inner, wide.outer)
     assert len(built) == (0 if n == 100 else 1)
     tc.AnnulusGraph.build(atoms, wide)
-    assert len(built) == (1 if n == 100 else 3)
+    assert len(built) == (0 if n == 100 else 2)
     del built[:]
     band = tc.AnnulusGraph.band(envelope, wide)
-    assert len(built) == 1
     narrow = band.within(tc.KernelParams(t=0.1, eps=0.01))
-    assert len(built) == 2
+    assert not built
+    for graph in (band, narrow):
+        for _ in range(2):
+            tc.annulus_sums(atoms, np.ones(n), atoms, graph.params, graph)
+    assert built == (["csr_matrix"] if n == 100 else ["csr_matrix", "csc_matrix"]) * 2
     _assert_adjacency_and_distances(band, atoms)
     for graph in (tc.AnnulusGraph.build(atoms, wide), band, narrow):
-        assert graph.pairs.indptr.dtype == graph.pairs.indices.dtype == np.int32
+        assert graph.indptr.dtype == graph.indices.dtype == np.int32
+        matrices = graph._matrices
+        assert len(matrices) == (1 if n == 100 else 2)
+        for matrix in matrices:
+            assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+            assert np.all(matrix.data == 1.0)
+            assert np.shares_memory(matrix.data, matrices[-1].data)
 
 
 def test_within_the_same_annulus_is_the_graph_itself():
@@ -269,7 +289,7 @@ def test_pair_cap_counts_examined_pairs_before_any_distance(monkeypatch, n):
     assert not distances
     monkeypatch.setattr("treeconfig.kernels.DEFAULT_PAIR_CAP", examined)
     graph = tc.AnnulusGraph.build(atoms, params)
-    assert distances and graph.pairs.nnz > 0
+    assert distances and len(graph.indices) > 0
 
 
 def test_import_loads_no_scipy_beyond_sparse():
@@ -285,15 +305,32 @@ def test_import_loads_no_scipy_beyond_sparse():
     assert done.stdout.strip() == "[]"
 
 
-def _dense_pairs(points, inner, outer):
-    """The CSR arrays of every pair's pair_distance masked by the closed test, row-major.
+def test_the_acceptance_envelope_grows_peak_rss_by_at_most_180_mb():
+    # the 4096-atom acceptance measure's envelope [0.32, 0.88] sets a path5
+    # scan's memory peak. Its 5.6M lower-triangle pairs grew ru_maxrss by
+    # about 135 MB in a fresh process; both triangles grew it by about 262 MB.
+    code = (
+        "import resource, treeconfig as tc; "
+        "from conftest import ACCEPT_RATIO, product_cantor_spec; "
+        "mu = tc.build_ifs_measure(product_cantor_spec(ACCEPT_RATIO, 6)); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "pairs = tc.kernels._annulus_pairs(mu.atoms, 0.32, 0.88); "
+        "print(len(pairs[1]), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(tc.__file__).resolve().parents[1]), str(here)])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    pairs, growth_kib = map(int, done.stdout.split())  # ru_maxrss counts KiB on Linux
+    assert pairs == 5_591_518
+    assert growth_kib <= 180 * 1024
 
-    indptr and indices are int32, as _annulus_pairs gives them.
-    """
-    dist = tc.pair_distance(points[:, None, :], points[None, :, :])
-    rows, cols = np.nonzero((dist >= inner) & (dist <= outer))
-    indptr = np.searchsorted(rows, np.arange(len(points) + 1))
-    return indptr.astype(np.int32), cols.astype(np.int32), dist[rows, cols]
+
+def _dense_pairs(points, inner, outer):
+    """dense_pairs as the pair routine keeps them: the strict lower triangle past one chunk."""
+    return dense_pairs(points, inner, outer, lower=len(points) ** 2 > tc.kernels._CHUNK_PAIRS)
 
 
 def _assert_identical(arrays, expected):
@@ -311,7 +348,7 @@ def pair_inputs(draw):
     coordinates round at 1e-10; uniform: random atoms.
     """
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 400))  # up to 256 atoms are one cell
+    n = draw(st.integers(1, 400))  # up to 256 atoms are one block, both triangles
     kind = draw(st.sampled_from(["lattice", "offset", "uniform"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "uniform":
@@ -362,8 +399,9 @@ def test_annulus_pairs_on_a_lattice_whose_step_is_outer(points, seed):
 @pytest.mark.parametrize("n", [256, 257])
 def test_one_block_and_grid_passes_equal_the_dense_reference(monkeypatch, n, kind):
     # 256 atoms fill one chunk of distances and are compared in one block with
-    # no grid; 257 are binned. Lattice atoms put many pairs on both annulus
-    # edges; duplicated ones put pairs at distance 0 and repeat rows.
+    # no grid, both triangles; 257 are binned, the strict lower triangle.
+    # Lattice atoms put many pairs on both annulus edges; duplicated ones put
+    # pairs at distance 0 and repeat rows.
     rng = np.random.default_rng(n)
     atoms = rng.integers(0, 12, size=(n, 2)) * 0.1
     if kind == "duplicated":
@@ -406,17 +444,63 @@ def lattice_scans(draw):
 @settings(max_examples=120, deadline=None)
 def test_mask_of_the_symmetric_envelope_is_the_built_graph(scan):
     # boundary distances and coincident atoms meet here: each t's graph must
-    # be build()'s CSR entry for entry, since extraction walks pairs.indices
-    # in stored order
+    # be build()'s CSR entry for entry, since extraction walks its indices in
+    # stored order; the envelope holds both triangles of the symmetric
+    # relation up to 256 atoms, and its strict lower triangle past them
     atoms, annuli = scan
-    envelope = _annulus_pairs(atoms, min(p.inner for p in annuli), max(p.outer for p in annuli))
-    indptr, indices, distances = envelope
-    matrix = sparse.csr_matrix((distances, indices, indptr), shape=(len(atoms),) * 2)
-    assert (matrix != matrix.T).nnz == 0
+    inner, outer = min(p.inner for p in annuli), max(p.outer for p in annuli)
+    envelope = _annulus_pairs(atoms, inner, outer)
+    _assert_identical(envelope, _dense_pairs(atoms, inner, outer))
     for params in annuli:
         band = tc.AnnulusGraph.band(envelope, params)
         built = tc.AnnulusGraph.build(atoms, params)
-        assert np.array_equal(band.pairs.indptr, built.pairs.indptr)
-        assert np.array_equal(band.pairs.indices, built.pairs.indices)
-        assert np.array_equal(band.distances, built.distances)
+        _assert_identical(_arrays(band), _arrays(built))
         _assert_adjacency_and_distances(band, atoms)
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf]
+
+
+@st.composite
+def sum_inputs(draw):
+    """5-60 lattice atoms in d = 1-3, some duplicated, a lattice annulus, and values.
+
+    Radii on half lattice steps put many pairs on the annulus edges. Values
+    mix zeros of both signs, subnormals, +-1e300, infinities and any finite
+    float, so sums overflow, cancel and meet -0.0.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(5, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.1, 0.125, 0.05]))
+    atoms = rng.integers(0, 6, size=(n, d)) * step
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    atoms[dup] = atoms[rng.integers(0, n, size=dup.sum())]
+    k = draw(st.integers(1, 6))
+    params = tc.KernelParams(t=k * step, eps=draw(st.integers(1, 2 * k - 1)) * step / 2)
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=False))
+    return atoms, params, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@given(case=sum_inputs())
+@settings(max_examples=100, deadline=None)
+def test_one_triangle_graph_sums_like_the_full_row_matrix(case):
+    # the chained mat-vec of a one-triangle graph makes the full row's
+    # additions in the same order, so it equals a full-row CSR mat-vec byte
+    # for byte; its degrees and neighbour lists are the full rows' too
+    atoms, params, values = case
+    ref = reference_matrix(atoms, params)
+    with one_triangle():
+        graph = tc.AnnulusGraph.build(atoms, params)
+    assert graph.lower
+    _assert_identical(_arrays(graph), dense_pairs(atoms, params.inner, params.outer, lower=True))
+    for x in (values, values[::-1].copy(), np.ones(len(atoms))):
+        got = tc.annulus_sums(atoms, x, atoms, params, graph)
+        _assert_identical([got], [ref @ x])
+    assert np.array_equal(graph.degree(), np.diff(ref.indptr))
+    above_ptr, above = graph.columns()
+    for a in range(len(atoms)):
+        row = graph.indices[graph.indptr[a] : graph.indptr[a + 1]]
+        column = above[above_ptr[a] : above_ptr[a + 1]]
+        full = ref.indices[ref.indptr[a] : ref.indptr[a + 1]]
+        assert np.array_equal(np.concatenate([row, column]), full)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import treeconfig as tc
+from treeconfig.pigeonhole import DEPTH_CAP
 
 P = tc.KernelParams(t=1.0, eps=0.1)
 
@@ -246,10 +247,19 @@ def test_stage_failure_names_stage_and_params():
     assert exc.value.t == 7.0
 
 
-def test_nested_depth_validation():
+def test_nested_depth_validation(monkeypatch):
     mu = tc.AtomicMeasure(d=1, atoms=[[0.0], [1.0]], weights=[0.5, 0.5])
     with pytest.raises(tc.ValidationError):
         tc.nested_good_sets(mu, P, depth=0)
+    # a depth over the cap is refused before the first stage's field
+    fields = []
+    monkeypatch.setattr("treeconfig.pigeonhole.convolve_field", lambda *a: fields.append(a))
+    for depth in (DEPTH_CAP + 1, 10**8):
+        with pytest.raises(tc.ResourceCapError, match=f"depth {depth} is over the cap of 256"):
+            tc.nested_good_sets(mu, P, depth=depth)
+    assert not fields
+    monkeypatch.undo()
+    assert tc.nested_good_sets(mu, P, depth=DEPTH_CAP).depth == DEPTH_CAP
 
 
 def test_chain_records_roundtrip():

@@ -13,18 +13,31 @@ place of the homomorphism tables must lose no injective witness, change none
 and visit no more nodes.
 """
 
+import contextlib
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeconfig as tc
-from conftest import exhaustive_injective, homomorphism_tables, pruefer_tree
+from conftest import (
+    exhaustive_injective,
+    homomorphism_tables,
+    one_triangle,
+    pruefer_tree,
+    reference_matrix,
+)
 
 
 def reference_search(tables, table, mu, require_distinct, node_budget):
-    """(assignment or None, exhausted, nodes_visited) of the numpy search over table."""
+    """(assignment or None, exhausted, nodes_visited) of the numpy search over table.
+
+    Its neighbour lists are the rows of the full-row reference matrix.
+    """
     order = tables.order
-    indptr, indices = tables.graph.pairs.indptr, tables.graph.pairs.indices
+    pairs = reference_matrix(mu.atoms, tables.graph.params)
+    indptr, indices = pairs.indptr, pairs.indices
     assignment = {}
     used = np.zeros(len(mu), dtype=bool)
 
@@ -82,18 +95,23 @@ def search_instances(draw):
 @given(instance=search_instances())
 @settings(max_examples=200, deadline=None)
 def test_search_matches_numpy_reference(instance):
+    # on graphs with both triangles, and on one-triangle graphs, whose
+    # neighbour lists join an atom's row and its column
     mu, tree, params = instance
-    tables = tc.feasibility_dp(mu, tree, params)
-    for require_distinct, table in ((True, tables.hosts), (False, homomorphism_tables(tables))):
-        for budget in (1, 7, 10**6):
-            res = tc.extract_embedding(tables, mu, tree, params, require_distinct, budget)
-            assignment, exhausted, nodes = reference_search(
-                tables, table, mu, require_distinct, budget
-            )
-            assert res.found == (assignment is not None)
-            assert (res.witness and res.witness.assignment) == assignment
-            assert res.exhausted == exhausted
-            assert res.nodes_visited == nodes <= budget
+    for mode in (contextlib.nullcontext, one_triangle):
+        with mode():
+            tables = tc.feasibility_dp(mu, tree, params)
+        homomorphism = homomorphism_tables(tables, mu)
+        for require_distinct, table in ((True, tables.hosts), (False, homomorphism)):
+            for budget in (1, 7, 10**6):
+                res = tc.extract_embedding(tables, mu, tree, params, require_distinct, budget)
+                assignment, exhausted, nodes = reference_search(
+                    tables, table, mu, require_distinct, budget
+                )
+                assert res.found == (assignment is not None)
+                assert (res.witness and res.witness.assignment) == assignment
+                assert res.exhausted == exhausted
+                assert res.nodes_visited == nodes <= budget
 
 
 @given(instance=search_instances())
@@ -101,7 +119,7 @@ def test_search_matches_numpy_reference(instance):
 def test_host_tables_lose_no_witness(instance):
     mu, tree, params = instance
     tables = tc.feasibility_dp(mu, tree, params)
-    homomorphism = homomorphism_tables(tables)
+    homomorphism = homomorphism_tables(tables, mu)
     for v in range(tree.n_vertices):
         assert not (tables.hosts[v] & ~homomorphism[v]).any()
     res = tc.extract_embedding(tables, mu, tree, params)
@@ -143,12 +161,19 @@ def test_lattice_broom_proven_absent_in_44448_nodes():
     # the broom's degree-5 vertex has at most 4 lattice neighbours, so no
     # injective embedding exists; a search of the homomorphism tables proves
     # it in the same number of nodes whatever the atom order, while the
-    # host tables rule out every atom for that vertex and need no search
+    # host tables rule out every atom for that vertex and need no search;
+    # extraction walking the homomorphism tables of a one-triangle graph
+    # takes the same 44,448 nodes
     for seed in (0, 1, 2):
         mu, broom, p = lattice_broom_instance(seed)
         tables = tc.feasibility_dp(mu, broom, p)
         assert tables.root_feasible() and not tables.hosts[4].any()
         res = tc.extract_embedding(tables, mu, broom, p)
         assert (res.found, res.exhausted, res.nodes_visited) == (False, True, 0)
-        homomorphism = homomorphism_tables(tables)
+        homomorphism = homomorphism_tables(tables, mu)
         assert reference_search(tables, homomorphism, mu, True, 10**7) == (None, True, 44_448)
+        with one_triangle():
+            tables = tc.feasibility_dp(mu, broom, p)
+        assert tables.graph.lower
+        res = tc.extract_embedding(replace(tables, hosts=homomorphism), mu, broom, p)
+        assert (res.found, res.exhausted, res.nodes_visited) == (False, True, 44_448)
