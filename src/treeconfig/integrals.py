@@ -93,11 +93,11 @@ def integral_bruteforce(
     Every term is formed and summed. The vertices are relabelled so that a
     leaf v is k-1 and its neighbour u is k-2, then split into a prefix
     0..s-1 and the longest tail s..k-1 whose tuples number at most _CHUNK;
-    the tail always holds u and v. Each edge's kernel matrix, times the
-    weights of the vertices it is the first edge of, is one factor; the edge
-    (u, v) comes last, so it carries v's weight. For a block of P prefix
-    tuples the k-2 other factors, gathered on their prefix axes and
-    broadcast over their tail axes, give a partial block of shape
+    the tail always holds u and v. Each edge's kernel matrix, made once per
+    pair of measures, times the weights of the vertices it is the first edge
+    of, is one factor; the edge (u, v) comes last, so it carries v's weight.
+    For a block of P prefix tuples the k-2 other factors, gathered on their
+    prefix axes and broadcast over their tail axes, give a partial block of shape
     (P, n_s, ..., n_u), 1/n_v of the block. The matrix product of its rows
     with the leaf factor, which contracts the u axis, forms each of the
     block's terms once; the product holds 1/n_u of the block. A block has
@@ -133,12 +133,15 @@ def integral_bruteforce(
     # One factor per edge kernel, with its vertex axes in ascending order.
     # Each vertex weight is folded into the first edge that touches it (a
     # tree has at least one edge), so a term is a product of k-1 factors.
-    # The edge (k-2, k-1) sorts last, so it carries v's weight.
-    factors, folded = [], set()
+    # The edge (k-2, k-1) sorts last, so it carries v's weight. Edges between
+    # the same two measures share one kernel; a weight folds into a new array.
+    factors, folded, kernels = [], set(), {}
     for i, j in sorted(tuple(sorted((label[i], label[j]))) for i, j in tree.edges):
         a, b = measures[i], measures[j]
-        dist = pair_distance(a.atoms[:, None, :], b.atoms[None, :, :])
-        factor = params.contains(dist) * params.weight
+        if (id(a), id(b)) not in kernels:
+            dist = pair_distance(a.atoms[:, None, :], b.atoms[None, :, :])
+            kernels[id(a), id(b)] = params.contains(dist) * params.weight
+        factor = kernels[id(a), id(b)]
         if i not in folded:
             factor = factor * a.weights[:, None]
         if j not in folded:

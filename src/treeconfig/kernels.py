@@ -10,7 +10,9 @@ too), and one closed test, `_closed`. An `AnnulusGraph` holds the atom
 pairs that pass it at one scale as CSR rows, both triangles up to 256 atoms
 and the strict lower one above, and their distances; fields, chain stages,
 peel messages and host tables are mat-vecs on it at the atoms they sum
-over, each accumulating in ascending atom order. A field is a plain float
+over, each accumulating in ascending atom order, the same bits whether a
+full-row graph sums with np.bincount (few pairs) or its scipy CSR, or a
+one-triangle graph with two chained scipy products. A field is a plain float
 array, one value per atom; `field_norms` sums its norms and checks it.
 Restricting to a subset of atoms zeroes the weights off it; no graph is sliced.
 
@@ -47,6 +49,10 @@ DEFAULT_PAIR_CAP = 2**24
 _CELL_ATOMS = 32
 # Distances evaluated per dense chunk, which bounds the pass's temporary memory.
 _CHUNK_PAIRS = 2**16
+# Stored pairs below which a full-row graph sums with np.bincount, not a scipy CSR: bincount
+# costs a few ns a pair, scipy a fixed build and call cost; on lattice graphs (build, path5
+# peel, DP and search) the two tie at about 1,900-2,900 pairs (the sweep in CHANGES.md).
+_BINCOUNT_PAIRS = 2**11
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,22 @@ class AnnulusGraph:
         self.lower = self.n_atoms**2 > _CHUNK_PAIRS  # past _annulus_pairs' one dense block
 
     @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """Each stored pair's row, made on the first np.bincount sum."""
+        return np.repeat(np.arange(self.n_atoms), np.diff(self.indptr))
+
+    @functools.cached_property
     def _matrices(self) -> tuple:
-        """annulus_sums' matrices, made on its first call: the stored 0/1 CSR L, and if lower
-        also C = [I; L] read as an n x 2n CSC (column n + j is L's row j), on one ones array."""
+        """annulus_sums' matrices, made on its first scipy sum: the stored 0/1 CSR L, and if lower
+        also C = [I; L] read as an n x 2n CSC (column n + j is L's row j), on one ones array.
+        C's row ids hold L's columns at offset n, so the graph's indices become a view of them."""
         n, nnz = self.n_atoms, len(self.indices)
-        ones = np.ones(nnz + (n if self.lower else 0))
-        stored = sparse.csr_matrix((ones[:nnz], self.indices, self.indptr), shape=(n, n))
         if not self.lower:
-            return (stored,)
-        ids = np.arange(n, dtype=np.int32)
+            return (sparse.csr_matrix((np.ones(nnz), self.indices, self.indptr), shape=(n, n)),)
+        ones, ids = np.ones(nnz + n), np.arange(n, dtype=np.int32)
         rows, indptr = np.concatenate([ids, self.indices]), np.concatenate([ids, n + self.indptr])
+        self.indices = rows[n:]
+        stored = sparse.csr_matrix((ones[:nnz], self.indices, self.indptr), shape=(n, n))
         return stored, sparse.csc_matrix((ones, rows, indptr), shape=(n, 2 * n))
 
     def degree(self) -> np.ndarray:
@@ -192,8 +204,7 @@ def _annulus_pairs(points, inner, outer):
         d = pair_distance(points[:, None, :], points)
         keep = _closed(d, inner, outer)
         flat = np.flatnonzero(keep)  # kept pairs by flat index, row-major
-        indptr = np.zeros(n + 1, np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        indptr = np.searchsorted(flat, np.arange(n + 1) * n).astype(np.int32)
         return indptr, (flat % n).astype(np.int32), d.ravel().take(flat)
     counts, indices, data = [np.zeros(1, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
     for cell, stencil in enumerate(runs.tolist()):
@@ -263,16 +274,21 @@ def annulus_sums(
 
     The one mat-vec shared by field convolution, the integral recursion and
     the embedding host tables. queries are the source atoms themselves, and
-    graph is their annulus graph at params. On a lower graph, C @ [L @ x; x]
-    makes the full row's additions in its order, so its sums are the same bits.
+    graph is their annulus graph at params. A full-row graph sums with scipy's
+    CSR mat-vec, or with np.bincount over its row ids below _BINCOUNT_PAIRS pairs;
+    both add each row's terms onto 0.0 in stored, ascending column order, and on a
+    lower graph C @ [L @ x; x] makes the same additions, so all sums are the same bits.
     """
     if graph.params != params or (graph.n_atoms,) * 2 != (len(queries), len(source_points)):
         raise ValidationError("annulus graph was built for other points or parameters")
     x = np.asarray(source_values, dtype=float)
-    if not graph.lower:
+    if graph.lower:
+        stored, stacked = graph._matrices
+        return stacked @ np.concatenate([stored @ x, x])
+    if len(graph.indices) >= _BINCOUNT_PAIRS:
         return graph._matrices[0] @ x
-    stored, stacked = graph._matrices
-    return stacked @ np.concatenate([stored @ x, x])
+    sums = np.bincount(graph._rows, weights=x.take(graph.indices), minlength=graph.n_atoms)
+    return sums.astype(float, copy=False)  # bincount gives ints on an empty graph
 
 
 def convolve_field(

@@ -109,6 +109,28 @@ def test_bruteforce_equals_literal_sum(instance, chunk):
     assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_bruteforce_builds_one_kernel_per_pair_of_measures(monkeypatch):
+    # [mu] * 5 gives the four edges one pair of measures, so one kernel; five
+    # equal copies give four pairs. Folding a weight into a factor leaves the
+    # shared kernel as it was, so both sums are the same bits
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return tc.pair_distance(a, b)
+
+    monkeypatch.setattr("treeconfig.integrals.pair_distance", counted)
+    rng = np.random.default_rng(30)
+    mu = tc.AtomicMeasure(d=2, atoms=rng.integers(0, 6, (12, 2)) / 10, weights=rng.random(12))
+    tree = pruefer_tree([1, 1, 3], 5)
+    params = tc.KernelParams(t=0.2, eps=0.1)
+    shared = tc.integral_bruteforce([mu] * 5, tree, params).value
+    assert len(calls) == 1
+    copies = [tc.AtomicMeasure(d=2, atoms=mu.atoms, weights=mu.weights) for _ in range(5)]
+    assert tc.integral_bruteforce(copies, tree, params).value == shared > 0
+    assert len(calls) == 1 + 4
+
+
 @pytest.mark.parametrize(
     "counts, chunk",
     [

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import treeconfig as tc
-from conftest import dense_pairs, naive_field, one_triangle, reference_matrix
+from conftest import dense_pairs, naive_field, one_triangle, reference_matrix, scipy_sums
 from treeconfig.kernels import _annulus_pairs
 
 
@@ -196,14 +197,18 @@ def _assert_adjacency_and_distances(graph, atoms):
     assert not graph.lower or np.all(graph.indices < rows)
 
 
-@pytest.mark.parametrize("n", [100, 3000])
+@pytest.mark.parametrize("n", [100, 250, 3000])
 def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
-    # 100 atoms are one dense block, which makes no matrix, and their graph
-    # sums with one full-row CSR matrix; 3000 are many cells, whose rows one
-    # scipy row gather moves to atom order, and their one-triangle graph sums
-    # with its CSR and one CSC matrix that share one ones array. A graph makes
-    # them on its first sum, so a graph that is never summed makes none.
-    atoms = np.random.default_rng(8).random((n, 2))
+    # a graph makes its sum operands on its first sum, so a graph that is
+    # never summed makes none. 100 atoms are one dense block, which makes no
+    # matrix, and their full-row graphs hold fewer than _BINCOUNT_PAIRS pairs:
+    # they sum with np.bincount and make no matrix at all. 250 atoms in half
+    # the square are one block too, but hold more pairs, and their full-row
+    # graphs sum with one CSR matrix each. 3000 atoms are many cells, whose
+    # rows one scipy row gather moves to atom order, and their one-triangle
+    # graph sums with its CSR and one CSC matrix that share one ones array and
+    # the graph's column indices.
+    atoms = np.random.default_rng(8).random((n, 2)) * (0.5 if n == 250 else 1.0)
     built = []
 
     def counted(kind):
@@ -219,9 +224,9 @@ def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
     )
     wide = tc.KernelParams(t=0.1, eps=0.05)
     envelope = _annulus_pairs(atoms, wide.inner, wide.outer)
-    assert len(built) == (0 if n == 100 else 1)
+    assert len(built) == (1 if n == 3000 else 0)
     tc.AnnulusGraph.build(atoms, wide)
-    assert len(built) == (0 if n == 100 else 2)
+    assert len(built) == (2 if n == 3000 else 0)
     del built[:]
     band = tc.AnnulusGraph.band(envelope, wide)
     narrow = band.within(tc.KernelParams(t=0.1, eps=0.01))
@@ -229,16 +234,24 @@ def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
     for graph in (band, narrow):
         for _ in range(2):
             tc.annulus_sums(atoms, np.ones(n), atoms, graph.params, graph)
-    assert built == (["csr_matrix"] if n == 100 else ["csr_matrix", "csc_matrix"]) * 2
+    per_graph = {100: [], 250: ["csr_matrix"], 3000: ["csr_matrix", "csc_matrix"]}[n]
+    assert built == per_graph * 2
     _assert_adjacency_and_distances(band, atoms)
-    for graph in (tc.AnnulusGraph.build(atoms, wide), band, narrow):
+    for graph in (band, narrow):
         assert graph.indptr.dtype == graph.indices.dtype == np.int32
-        matrices = graph._matrices
-        assert len(matrices) == (1 if n == 100 else 2)
-        for matrix in matrices:
+        bincount = len(graph.indices) < tc.kernels._BINCOUNT_PAIRS and not graph.lower
+        assert bincount == (n == 100)
+        assert ("_matrices" in vars(graph)) != bincount
+        if bincount:
+            continue
+        for matrix in graph._matrices:
             assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
             assert np.all(matrix.data == 1.0)
-            assert np.shares_memory(matrix.data, matrices[-1].data)
+        if graph.lower:
+            stored, stacked = graph._matrices
+            assert np.shares_memory(stored.data, stacked.data)
+            assert np.shares_memory(graph.indices, stacked.indices)
+            assert np.shares_memory(graph.indices, stored.indices)
 
 
 def test_within_the_same_annulus_is_the_graph_itself():
@@ -462,15 +475,15 @@ _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf]
 
 
 @st.composite
-def sum_inputs(draw):
-    """5-60 lattice atoms in d = 1-3, some duplicated, a lattice annulus, and values.
+def sum_inputs(draw, min_atoms=5, max_atoms=60):
+    """Lattice atoms in d = 1-3, some duplicated, a lattice annulus, and values.
 
     Radii on half lattice steps put many pairs on the annulus edges. Values
     mix zeros of both signs, subnormals, +-1e300, infinities and any finite
     float, so sums overflow, cancel and meet -0.0.
     """
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(5, 60))
+    n = draw(st.integers(min_atoms, max_atoms))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     step = draw(st.sampled_from([0.1, 0.125, 0.05]))
     atoms = rng.integers(0, 6, size=(n, d)) * step
@@ -497,6 +510,12 @@ def test_one_triangle_graph_sums_like_the_full_row_matrix(case):
     for x in (values, values[::-1].copy(), np.ones(len(atoms))):
         got = tc.annulus_sums(atoms, x, atoms, params, graph)
         _assert_identical([got], [ref @ x])
+    # the summed graph's indices are a view of its CSC's row ids
+    assert not graph.indices.size or np.shares_memory(graph.indices, graph._matrices[1].indices)
+    narrow = tc.KernelParams(t=params.t, eps=params.eps / 2)
+    _assert_identical(
+        _arrays(graph.within(narrow)), dense_pairs(atoms, narrow.inner, narrow.outer, lower=True)
+    )
     assert np.array_equal(graph.degree(), np.diff(ref.indptr))
     above_ptr, above = graph.columns()
     for a in range(len(atoms)):
@@ -504,3 +523,33 @@ def test_one_triangle_graph_sums_like_the_full_row_matrix(case):
         column = above[above_ptr[a] : above_ptr[a + 1]]
         full = ref.indices[ref.indptr[a] : ref.indptr[a + 1]]
         assert np.array_equal(np.concatenate([row, column]), full)
+
+
+def _two_clusters(p, q):
+    """p atoms at 0 and q at 1 on the line: 2pq stored pairs, all at distance 1."""
+    atoms = np.repeat([[0.0], [1.0]], [p, q], axis=0)
+    values = np.resize(_SPECIAL_VALUES + [1.5, -2.25], p + q)
+    return atoms, tc.KernelParams(t=1.0, eps=0.25), values
+
+
+@given(case=sum_inputs(min_atoms=1, max_atoms=120))
+@example(case=_two_clusters(31, 33))  # 2,046 stored pairs, just below the cutoff
+@example(case=_two_clusters(32, 32))  # 2,048, at it
+@example(case=_two_clusters(25, 41))  # 2,050, just above it
+@example(case=(np.zeros((3, 2)), tc.KernelParams(t=1.0, eps=0.5), np.array([-0.0, 1.0, -np.inf])))
+@settings(max_examples=100, deadline=None)
+def test_every_sum_path_sums_like_the_full_row_matrix(case):
+    # np.bincount on a full-row graph of few pairs, scipy's CSR on a larger
+    # one (forced here for any size), and the chained product on a
+    # one-triangle graph each add a row's terms onto 0.0 in ascending column
+    # order, so each equals the full-row reference byte for byte, empty graphs too
+    atoms, params, values = case
+    ref = reference_matrix(atoms, params)
+    xs = (values, values[::-1].copy(), np.ones(len(atoms)))
+    for mode in (contextlib.nullcontext, scipy_sums, one_triangle):
+        with mode():
+            graph = tc.AnnulusGraph.build(atoms, params)
+            sums = [tc.annulus_sums(atoms, x, atoms, params, graph) for x in xs]
+        bincount = mode is not scipy_sums and ref.nnz < 2048 and not graph.lower
+        assert ("_rows" in vars(graph)) == bincount != ("_matrices" in vars(graph))
+        _assert_identical(sums, [ref @ x for x in xs])
