@@ -10,9 +10,9 @@ too), and one closed test, `_closed`. An `AnnulusGraph` holds the atom
 pairs that pass it at one scale as CSR rows, both triangles up to 256 atoms
 and the strict lower one above, and their distances; fields, chain stages,
 peel messages and host tables are mat-vecs on it at the atoms they sum
-over, each accumulating in ascending atom order, the same bits whether a
-full-row graph sums with np.bincount (few pairs) or its scipy CSR, or a
-one-triangle graph with two chained scipy products. A field is a plain float
+over, each accumulating in ascending atom order: scipy's CSR kernel on the
+stored rows, and on a one-triangle graph one CSC product more, which makes
+a full row's additions in the same order. A field is a plain float
 array, one value per atom; `field_norms` sums its norms and checks it.
 Restricting to a subset of atoms zeroes the weights off it; no graph is sliced.
 
@@ -35,6 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+# scipy's CSR mat-vec, the one csr_matrix @ x runs, called on a graph's own arrays: building
+# and calling a matrix object costs more than the sum on a graph of a few thousand pairs
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import ResourceCapError, ValidationError
 from .measures import AtomicMeasure, finite_fsum, pair_distance
@@ -49,10 +52,6 @@ DEFAULT_PAIR_CAP = 2**24
 _CELL_ATOMS = 32
 # Distances evaluated per dense chunk, which bounds the pass's temporary memory.
 _CHUNK_PAIRS = 2**16
-# Stored pairs below which a full-row graph sums with np.bincount, not a scipy CSR: bincount
-# costs a few ns a pair, scipy a fixed build and call cost; on lattice graphs (build, path5
-# peel, DP and search) the two tie at about 1,900-2,900 pairs (the sweep in CHANGES.md).
-_BINCOUNT_PAIRS = 2**11
 
 
 @dataclass(frozen=True)
@@ -106,36 +105,37 @@ class AnnulusGraph:
 
     indptr and indices are the int32 CSR rows of the stored pairs, columns
     ascending, and distances their pair distances in indices order, read only
-    by the annulus masks. Up to 256 atoms, where one scipy matrix costs less
-    than two, rows hold both triangles; a larger graph is lower: row i holds j < i.
+    by the annulus masks. Up to 256 atoms (one dense block of _annulus_pairs)
+    rows hold both triangles; a larger graph is lower: row i holds j < i, and
+    its first sum rebinds indices to a view of the row ids of its CSC C.
     """
 
     def __init__(self, indptr, indices, distances, params: KernelParams):
         # int32 index arrays spare scipy a scan of their contents to pick its index dtype
         self.indptr, self.indices = np.asarray(indptr, np.int32), np.asarray(indices, np.int32)
+        flat = self.indptr.ndim == self.indices.ndim == 1 and len(self.indptr) > 0
+        if not (flat and self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)):
+            raise ValidationError("indptr must run from 0 to len(indices) over flat arrays")
         self.distances = distances
         self.params = params
         self.n_atoms = len(indptr) - 1
         self.lower = self.n_atoms**2 > _CHUNK_PAIRS  # past _annulus_pairs' one dense block
 
     @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        """Each stored pair's row, made on the first np.bincount sum."""
-        return np.repeat(np.arange(self.n_atoms), np.diff(self.indptr))
+    def _ones(self) -> np.ndarray:
+        """The 0/1 data of the stored pairs (the first nnz), and of C's identity if lower."""
+        return np.ones(len(self.indices) + (self.n_atoms if self.lower else 0))
 
     @functools.cached_property
-    def _matrices(self) -> tuple:
-        """annulus_sums' matrices, made on its first scipy sum: the stored 0/1 CSR L, and if lower
-        also C = [I; L] read as an n x 2n CSC (column n + j is L's row j), on one ones array.
-        C's row ids hold L's columns at offset n, so the graph's indices become a view of them."""
-        n, nnz = self.n_atoms, len(self.indices)
-        if not self.lower:
-            return (sparse.csr_matrix((np.ones(nnz), self.indices, self.indptr), shape=(n, n)),)
-        ones, ids = np.ones(nnz + n), np.arange(n, dtype=np.int32)
+    def _stacked(self) -> sparse.csc_matrix:
+        """A lower graph's C = [I; L], L the stored rows, read as an n x 2n CSC (column n + j is
+        L's row j), made on its first sum. C's row ids hold L's columns at offset n, so the
+        graph's indices become a view of them."""
+        n = self.n_atoms
+        ids = np.arange(n, dtype=np.int32)
         rows, indptr = np.concatenate([ids, self.indices]), np.concatenate([ids, n + self.indptr])
         self.indices = rows[n:]
-        stored = sparse.csr_matrix((ones[:nnz], self.indices, self.indptr), shape=(n, n))
-        return stored, sparse.csc_matrix((ones, rows, indptr), shape=(n, 2 * n))
+        return sparse.csc_matrix((self._ones, rows, indptr), shape=(n, 2 * n))
 
     def degree(self) -> np.ndarray:
         """Each atom's number of annulus neighbours: its row, and its column when lower."""
@@ -274,21 +274,19 @@ def annulus_sums(
 
     The one mat-vec shared by field convolution, the integral recursion and
     the embedding host tables. queries are the source atoms themselves, and
-    graph is their annulus graph at params. A full-row graph sums with scipy's
-    CSR mat-vec, or with np.bincount over its row ids below _BINCOUNT_PAIRS pairs;
-    both add each row's terms onto 0.0 in stored, ascending column order, and on a
-    lower graph C @ [L @ x; x] makes the same additions, so all sums are the same bits.
+    graph is their annulus graph at params. scipy's CSR kernel sums the stored
+    rows, adding each row's terms onto 0.0 in ascending column order; on a lower
+    graph C @ [L @ x; x] then makes the full row's additions in that order, so
+    its sums are the full rows' sums, bit for bit.
     """
     if graph.params != params or (graph.n_atoms,) * 2 != (len(queries), len(source_points)):
         raise ValidationError("annulus graph was built for other points or parameters")
-    x = np.asarray(source_values, dtype=float)
-    if graph.lower:
-        stored, stacked = graph._matrices
-        return stacked @ np.concatenate([stored @ x, x])
-    if len(graph.indices) >= _BINCOUNT_PAIRS:
-        return graph._matrices[0] @ x
-    sums = np.bincount(graph._rows, weights=x.take(graph.indices), minlength=graph.n_atoms)
-    return sums.astype(float, copy=False)  # bincount gives ints on an empty graph
+    n, x = graph.n_atoms, np.asarray(source_values, dtype=float)
+    if x.shape != (n,):
+        raise ValidationError(f"source values have shape {x.shape}, not ({n},)")
+    sums = np.zeros(n)
+    csr_matvec(n, n, graph.indptr, graph.indices, graph._ones, x, sums)
+    return graph._stacked @ np.concatenate([sums, x]) if graph.lower else sums
 
 
 def convolve_field(

@@ -106,14 +106,6 @@ def one_triangle():
         yield
 
 
-@contextlib.contextmanager
-def scipy_sums():
-    """Full-row graphs of few pairs sum with their scipy CSR, as larger ones do, not np.bincount."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("treeconfig.kernels._BINCOUNT_PAIRS", 0)
-        yield
-
-
 def homomorphism_tables(
     tables: tc.FeasibilityTables, mu: tc.AtomicMeasure
 ) -> dict[int, np.ndarray]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import treeconfig as tc
-from conftest import dense_pairs, naive_field, one_triangle, reference_matrix, scipy_sums
+from conftest import dense_pairs, naive_field, one_triangle, reference_matrix
 from treeconfig.kernels import _annulus_pairs
 
 
@@ -197,18 +197,15 @@ def _assert_adjacency_and_distances(graph, atoms):
     assert not graph.lower or np.all(graph.indices < rows)
 
 
-@pytest.mark.parametrize("n", [100, 250, 3000])
+@pytest.mark.parametrize("n", [100, 3000])
 def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
-    # a graph makes its sum operands on its first sum, so a graph that is
-    # never summed makes none. 100 atoms are one dense block, which makes no
-    # matrix, and their full-row graphs hold fewer than _BINCOUNT_PAIRS pairs:
-    # they sum with np.bincount and make no matrix at all. 250 atoms in half
-    # the square are one block too, but hold more pairs, and their full-row
-    # graphs sum with one CSR matrix each. 3000 atoms are many cells, whose
-    # rows one scipy row gather moves to atom order, and their one-triangle
-    # graph sums with its CSR and one CSC matrix that share one ones array and
-    # the graph's column indices.
-    atoms = np.random.default_rng(8).random((n, 2)) * (0.5 if n == 250 else 1.0)
+    # 100 atoms are one dense block, which makes no matrix, and their
+    # full-row graph sums with scipy's CSR kernel on its own arrays, making no
+    # matrix at all; 3000 are many cells, whose rows one scipy row gather
+    # moves to atom order, and their one-triangle graph sums with one CSC
+    # matrix that shares the graph's ones array and column indices. A graph
+    # makes them on its first sum, so a graph that is never summed makes none.
+    atoms = np.random.default_rng(8).random((n, 2))
     built = []
 
     def counted(kind):
@@ -224,9 +221,9 @@ def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
     )
     wide = tc.KernelParams(t=0.1, eps=0.05)
     envelope = _annulus_pairs(atoms, wide.inner, wide.outer)
-    assert len(built) == (1 if n == 3000 else 0)
+    assert len(built) == (0 if n == 100 else 1)
     tc.AnnulusGraph.build(atoms, wide)
-    assert len(built) == (2 if n == 3000 else 0)
+    assert len(built) == (0 if n == 100 else 2)
     del built[:]
     band = tc.AnnulusGraph.band(envelope, wide)
     narrow = band.within(tc.KernelParams(t=0.1, eps=0.01))
@@ -234,24 +231,17 @@ def test_a_graph_holds_one_scipy_matrix(monkeypatch, n):
     for graph in (band, narrow):
         for _ in range(2):
             tc.annulus_sums(atoms, np.ones(n), atoms, graph.params, graph)
-    per_graph = {100: [], 250: ["csr_matrix"], 3000: ["csr_matrix", "csc_matrix"]}[n]
-    assert built == per_graph * 2
+    assert built == ([] if n == 100 else ["csc_matrix"]) * 2
     _assert_adjacency_and_distances(band, atoms)
-    for graph in (band, narrow):
+    for graph in (tc.AnnulusGraph.build(atoms, wide), band, narrow):
         assert graph.indptr.dtype == graph.indices.dtype == np.int32
-        bincount = len(graph.indices) < tc.kernels._BINCOUNT_PAIRS and not graph.lower
-        assert bincount == (n == 100)
-        assert ("_matrices" in vars(graph)) != bincount
-        if bincount:
+        if not graph.lower:
             continue
-        for matrix in graph._matrices:
-            assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
-            assert np.all(matrix.data == 1.0)
-        if graph.lower:
-            stored, stacked = graph._matrices
-            assert np.shares_memory(stored.data, stacked.data)
-            assert np.shares_memory(graph.indices, stacked.indices)
-            assert np.shares_memory(graph.indices, stored.indices)
+        stacked = graph._stacked
+        assert stacked.indptr.dtype == stacked.indices.dtype == np.int32
+        assert np.all(stacked.data == 1.0)
+        assert np.shares_memory(stacked.data, graph._ones)
+        assert np.shares_memory(graph.indices, stacked.indices)
 
 
 def test_within_the_same_annulus_is_the_graph_itself():
@@ -268,6 +258,15 @@ def test_annulus_graph_rejects_wider_annulus_and_foreign_points():
         graph.within(tc.KernelParams(t=0.5, eps=0.2))
     with pytest.raises(tc.ValidationError, match="other points"):
         tc.annulus_sums(atoms[:10], np.ones(10), atoms, p, graph)
+    # the sum reads exactly one value per atom: no more, no fewer, and flat
+    for values in (np.ones(41), np.ones(39), np.ones((40, 1)), np.ones((2, 40))):
+        with pytest.raises(tc.ValidationError, match="source values have shape"):
+            tc.annulus_sums(atoms, values, atoms, p, graph)
+    # a graph's rows must cover its indices exactly
+    indptr, indices = graph.indptr, graph.indices
+    for bad in ((indptr + 1, indices), (indptr, indices[:-1]), (indptr[None], indices), ([], [])):
+        with pytest.raises(tc.ValidationError, match="indptr must run"):
+            tc.AnnulusGraph(*bad, graph.distances, p)
 
 
 def test_annulus_graph_pair_cap(monkeypatch):
@@ -511,7 +510,7 @@ def test_one_triangle_graph_sums_like_the_full_row_matrix(case):
         got = tc.annulus_sums(atoms, x, atoms, params, graph)
         _assert_identical([got], [ref @ x])
     # the summed graph's indices are a view of its CSC's row ids
-    assert not graph.indices.size or np.shares_memory(graph.indices, graph._matrices[1].indices)
+    assert not graph.indices.size or np.shares_memory(graph.indices, graph._stacked.indices)
     narrow = tc.KernelParams(t=params.t, eps=params.eps / 2)
     _assert_identical(
         _arrays(graph.within(narrow)), dense_pairs(atoms, narrow.inner, narrow.outer, lower=True)
@@ -533,23 +532,20 @@ def _two_clusters(p, q):
 
 
 @given(case=sum_inputs(min_atoms=1, max_atoms=120))
-@example(case=_two_clusters(31, 33))  # 2,046 stored pairs, just below the cutoff
-@example(case=_two_clusters(32, 32))  # 2,048, at it
-@example(case=_two_clusters(25, 41))  # 2,050, just above it
+@example(case=_two_clusters(100, 100))  # a full-row graph of 20,000 stored pairs
 @example(case=(np.zeros((3, 2)), tc.KernelParams(t=1.0, eps=0.5), np.array([-0.0, 1.0, -np.inf])))
 @settings(max_examples=100, deadline=None)
 def test_every_sum_path_sums_like_the_full_row_matrix(case):
-    # np.bincount on a full-row graph of few pairs, scipy's CSR on a larger
-    # one (forced here for any size), and the chained product on a
-    # one-triangle graph each add a row's terms onto 0.0 in ascending column
-    # order, so each equals the full-row reference byte for byte, empty graphs too
+    # scipy's CSR kernel on a full-row graph's own arrays, and the chained
+    # product on a one-triangle graph, each add a row's terms onto 0.0 in
+    # ascending column order, so each equals the full-row reference byte for
+    # byte, empty graphs too
     atoms, params, values = case
     ref = reference_matrix(atoms, params)
-    xs = (values, values[::-1].copy(), np.ones(len(atoms)))
-    for mode in (contextlib.nullcontext, scipy_sums, one_triangle):
+    xs = (values, values[::-1].copy(), values[::-1], np.ones(len(atoms)))
+    for mode in (contextlib.nullcontext, one_triangle):
         with mode():
             graph = tc.AnnulusGraph.build(atoms, params)
             sums = [tc.annulus_sums(atoms, x, atoms, params, graph) for x in xs]
-        bincount = mode is not scipy_sums and ref.nnz < 2048 and not graph.lower
-        assert ("_rows" in vars(graph)) == bincount != ("_matrices" in vars(graph))
+        assert ("_stacked" in vars(graph)) == graph.lower
         _assert_identical(sums, [ref @ x for x in xs])
